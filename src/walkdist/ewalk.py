@@ -25,10 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, GraphInputError, NumericalError
-from .graph import WeightedMultigraph, as_adjacency, map_edge_weights, require_connected
+from .graph import (WeightedMultigraph, _labels_of, _require_usable, as_adjacency,
+                    map_edge_weights, require_connected)
 from .limits import SweepPoint, limit_sweep, weighted_shortest_path_matrix
 from .spectral import perron
-from .walk import DistanceMatrix
+from .walk import DistanceMatrix, _fold, _symmetrized
 
 __all__ = [
     "ThetaSchedule",
@@ -99,17 +100,6 @@ def indicator_matrix(A) -> np.ndarray:
         return C
     M = as_adjacency(A)
     return (M != 0).astype(float)
-
-
-def _require_usable(graph_or_matrix) -> None:
-    if isinstance(graph_or_matrix, WeightedMultigraph):
-        require_connected(graph_or_matrix)
-
-
-def _labels_of(graph_or_matrix):
-    if isinstance(graph_or_matrix, WeightedMultigraph):
-        return graph_or_matrix.labels
-    return getattr(graph_or_matrix, "labels", None)
 
 
 def _transformed_weight(w: float, rho: float, alpha: float) -> float:
@@ -268,9 +258,7 @@ def ewalk_distance(g, alpha: float, schedule: ThetaSchedule | None = None) -> Di
     """
     if alpha <= 0:
         raise GraphInputError(f"alpha must be positive, got {alpha!r}")
-    M = as_adjacency(g)
     _require_usable(g)
-    n = M.shape[0]
     W = epsilon_weight_matrix(g, alpha)
     # The transform guarantees rho(A(alpha)) < 1; trust but verify.
     rho_alpha = float(np.linalg.eigvalsh(W)[-1])
@@ -284,12 +272,8 @@ def ewalk_distance(g, alpha: float, schedule: ThetaSchedule | None = None) -> Di
     logR = _log_proximity_float64(W)
     if logR is None:
         logR = _log_proximity_longdouble(_epsilon_weight_matrix_longdouble(g, alpha))
-    h = np.diag(logR)
-    D = scale * (0.5 * (h[:, None] + h[None, :]) - logR)
-    D = 0.5 * (D + D.T)
-    np.fill_diagonal(D, 0.0)
-    return DistanceMatrix(entries=D, family="e-walk", param=f"alpha={alpha!r}",
-                          labels=_labels_of(g))
+    return DistanceMatrix(entries=scale * _fold(logR), family="e-walk",
+                          param=f"alpha={alpha!r}", labels=_labels_of(g))
 
 
 def long_ewalk_distance(A, theta_inf: float | None = None) -> DistanceMatrix:
@@ -313,9 +297,8 @@ def long_ewalk_distance(A, theta_inf: float | None = None) -> DistanceMatrix:
         keep = [k for k in range(n) if k != j]
         x = np.linalg.solve(Lam[np.ix_(keep, keep)], indicator[keep, :] @ sd.p)
         C[keep, j] = x / sd.p[keep]
-    D = (theta_inf / 2.0) * (C + C.T)
-    np.fill_diagonal(D, 0.0)
-    return DistanceMatrix(entries=0.5 * (D + D.T), family="long-ewalk",
+    return DistanceMatrix(entries=_symmetrized((theta_inf / 2.0) * (C + C.T)),
+                          family="long-ewalk",
                           param="limit", labels=_labels_of(A))
 
 

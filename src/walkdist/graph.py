@@ -302,6 +302,17 @@ def require_connected(g: WeightedMultigraph) -> None:
         )
 
 
+def _require_usable(graph_or_matrix) -> None:
+    """require_connected for a graph; a bare matrix is not checked here."""
+    if isinstance(graph_or_matrix, WeightedMultigraph):
+        require_connected(graph_or_matrix)
+
+
+def _labels_of(graph_or_matrix) -> tuple[str, ...] | None:
+    """Vertex labels of a graph or LabeledMatrix; None for a bare array."""
+    return getattr(graph_or_matrix, "labels", None)
+
+
 def map_edge_weights(
     g: WeightedMultigraph, fn: Callable[[EdgeRecord], float]
 ) -> WeightedMultigraph:

@@ -32,9 +32,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path as _csgraph_shortest_path
 
 from .errors import DivergenceError, GraphInputError, NumericalError
-from .graph import WeightedMultigraph, as_adjacency, as_laplacian, require_connected
+from .graph import WeightedMultigraph, _labels_of, _require_usable, as_adjacency, as_laplacian
 from .spectral import SpectralData, _vertex_position, perron, submatrix_spectral_radius
-from .walk import DistanceMatrix
+from .walk import DistanceMatrix, _fold, _symmetrized
 
 __all__ = [
     "HittingWeights",
@@ -53,7 +53,6 @@ __all__ = [
     "long_walk_via_ginverse",
     "long_walk_via_reduced",
     "long_walk_all_formulas",
-    "stochastic_walk_matrix",
     "laplacian_ginverse",
     "para_laplacian_ginverse",
     "resistance_distance",
@@ -65,26 +64,9 @@ __all__ = [
 ]
 
 
-def _labels_of(graph_or_matrix):
-    if isinstance(graph_or_matrix, WeightedMultigraph):
-        return graph_or_matrix.labels
-    return getattr(graph_or_matrix, "labels", None)
-
-
-def _require_usable(graph_or_matrix) -> None:
-    if isinstance(graph_or_matrix, WeightedMultigraph):
-        require_connected(graph_or_matrix)
-
-
 def _minor(M: np.ndarray, drop: tuple[int, ...]) -> np.ndarray:
     keep = [k for k in range(M.shape[0]) if k not in drop]
     return M[np.ix_(keep, keep)]
-
-
-def _symmetrized(D: np.ndarray) -> np.ndarray:
-    D = 0.5 * (D + D.T)
-    np.fill_diagonal(D, 0.0)
-    return D
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +238,6 @@ def long_walk_distance(A) -> DistanceMatrix:
                           param="limit", labels=_labels_of(A))
 
 
-def stochastic_walk_matrix(A) -> np.ndarray:
-    """Row-stochastic similarity companion Q = (rho*P)^(-1) A P, P = diag(p)."""
-    M, sd = _spectral(A)
-    return (M * sd.p[None, :]) / (sd.rho * sd.p[:, None])
-
-
 def long_walk_via_stochastic(A) -> DistanceMatrix:
     """Long-walk distance via the similarity form B = P^(-1) A P.
 
@@ -427,12 +403,10 @@ def long_walk_via_ginverse(A, ginverse: GInverse | None = None) -> DistanceMatri
     if ginverse is None:
         ginverse = para_laplacian_ginverse(sd.rho * np.eye(n) - M, sd.p_tilde)
     Z = np.asarray(ginverse.matrix, dtype=float)
-    # d(i,j) = Z_ii/p'_i^2 + Z_jj/p'_j^2 - 2 Z_ij/(p'_i p'_j), vectorized
-    # by conjugating Z with diag(1/p').
+    # d(i,j) = Z_ii/p'_i^2 + Z_jj/p'_j^2 - 2 Z_ij/(p'_i p'_j), twice the
+    # fold of Z conjugated with diag(1/p').
     W = Z / np.outer(sd.p_prime, sd.p_prime)
-    w = np.diag(W)
-    D = w[:, None] + w[None, :] - 2.0 * W
-    return DistanceMatrix(entries=_symmetrized(D), family="long-walk",
+    return DistanceMatrix(entries=2.0 * _fold(W), family="long-walk",
                           param="limit", labels=_labels_of(A))
 
 
@@ -533,9 +507,7 @@ def resistance_via_ginverse(g, ginverse: GInverse | None = None) -> DistanceMatr
     if ginverse is None:
         ginverse = laplacian_ginverse(L)
     Z = np.asarray(ginverse.matrix, dtype=float)
-    z = np.diag(Z)
-    D = z[:, None] + z[None, :] - 2.0 * Z
-    return DistanceMatrix(entries=_symmetrized(D), family="resistance",
+    return DistanceMatrix(entries=2.0 * _fold(Z), family="resistance",
                           param="limit", labels=_labels_of(g))
 
 

@@ -5,6 +5,10 @@ simple and carries a strictly positive eigenvector. The Perron vector p is
 normalized to sum 1 (a probability vector); derived scalings p_tilde
 (unit 2-norm) and p_prime (sqrt(n) * p_tilde) are carried along because
 the limit formulas use all three.
+
+The spectrum is computed one way: a dense symmetric eigendecomposition
+(`numpy.linalg.eigh`), whose top eigenpair is then refined by two steps
+of Rayleigh-quotient iteration.
 """
 
 from __future__ import annotations
@@ -14,19 +18,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, DisconnectedGraphError, DivergenceError, GraphInputError
+from .errors import ConvergenceError, DisconnectedGraphError, GraphInputError
 from .graph import as_adjacency
 
 __all__ = [
     "SpectralData",
     "perron",
     "submatrix_spectral_radius",
-    "eigenprojection_limit_check",
 ]
 
-DENSE_CUTOFF = 64
-POWER_TOL = 1e-12
-POWER_MAX_ITER = 100_000
 POLISH_STEPS = 2
 
 
@@ -116,54 +116,17 @@ def _finalize(rho: float, v: np.ndarray) -> SpectralData:
     return SpectralData(rho=float(rho), p=p, p_tilde=p_tilde, p_prime=p_prime)
 
 
-def _perron_dense(A: np.ndarray) -> SpectralData:
-    eigenvalues, vectors = np.linalg.eigh(A)
-    return _finalize(*_polish(A, eigenvalues[-1], vectors[:, -1]))
-
-
-def _perron_power(A: np.ndarray) -> SpectralData:
-    # Plain power iteration oscillates on bipartite graphs (the spectrum
-    # contains -rho), so iterate on the shifted matrix A + sigma*I, which
-    # moves everything strictly positive without changing eigenvectors.
-    sigma = float(A.sum(axis=1).max())
-    M = A + sigma * np.eye(A.shape[0])
-    x = np.full(A.shape[0], 1.0 / np.sqrt(A.shape[0]))
-    for _ in range(POWER_MAX_ITER):
-        y = M @ x
-        norm = np.linalg.norm(y)
-        x_next = y / norm
-        rayleigh = float(x_next @ (A @ x_next))
-        residual = np.linalg.norm(A @ x_next - rayleigh * x_next)
-        x = x_next
-        scale = max(abs(rayleigh), 1e-30)
-        if residual <= POWER_TOL * scale:
-            return _finalize(*_polish(A, rayleigh, x))
-    raise ConvergenceError(
-        f"power iteration did not reach residual {POWER_TOL:g} in {POWER_MAX_ITER} steps"
-    )
-
-
-def perron(A, method: str = "auto") -> SpectralData:
+def perron(A) -> SpectralData:
     """Perron root and vector of a symmetric nonnegative irreducible matrix.
 
-    Parameters
-    ----------
-    A
-        Graph, LabeledMatrix, or array.
-    method
-        "dense" for a full symmetric eigendecomposition, "power" for
-        shifted power iteration with a Rayleigh-quotient stopping rule,
-        "auto" to pick dense up to order 64 and power iteration above.
+    A is a graph, LabeledMatrix, or array. One `eigh` gives the top
+    eigenpair, which a Rayleigh-quotient polish brings to working
+    precision; the vector is then normalized three ways (SpectralData).
     """
     M = as_adjacency(A)
     _validate_input(M)
-    if method == "auto":
-        method = "dense" if M.shape[0] <= DENSE_CUTOFF else "power"
-    if method == "dense":
-        return _perron_dense(M)
-    if method == "power":
-        return _perron_power(M)
-    raise ValueError(f"unknown method {method!r}")
+    eigenvalues, vectors = np.linalg.eigh(M)
+    return _finalize(*_polish(M, eigenvalues[-1], vectors[:, -1]))
 
 
 def submatrix_spectral_radius(A, j) -> float:
@@ -191,26 +154,3 @@ def _vertex_position(A, j, n: int) -> int:
     if not 0 <= pos < n:
         raise GraphInputError(f"vertex position {pos} out of range")
     return pos
-
-
-def eigenprojection_limit_check(A, t_sequence) -> np.ndarray:
-    """Deviation of (1/t - rho) * R_t from its rank-one limit, per t.
-
-    As t increases toward 1/rho, (1/t - rho) * (I - tA)^(-1) approaches
-    rho * p_tilde p_tilde^T. Returns the sup-norm (max absolute entry)
-    deviation for each t in the sequence; for schedules approaching
-    1/rho the deviations should decrease.
-    """
-    M = as_adjacency(A)
-    sd = perron(M)
-    limit = sd.rho * np.outer(sd.p_tilde, sd.p_tilde)
-    n = M.shape[0]
-    deviations = []
-    for t in np.atleast_1d(np.asarray(t_sequence, dtype=float)):
-        if t <= 0 or t >= 1.0 / sd.rho:
-            raise DivergenceError(
-                f"t={t!r} outside (0, 1/rho) with rho={sd.rho!r}; series diverges"
-            )
-        R = np.linalg.solve(np.eye(n) - t * M, np.eye(n))
-        deviations.append(np.abs((1.0 / t - sd.rho) * R - limit).max())
-    return np.asarray(deviations)

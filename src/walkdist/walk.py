@@ -23,13 +23,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, GraphInputError, IllConditionedError
+from .errors import DivergenceError, GraphInputError, IllConditionedError, NumericalError
 from .graph import (
     WeightedMultigraph,
+    _labels_of,
+    _require_usable,
     as_adjacency,
     as_laplacian,
     map_edge_weights,
-    require_connected,
 )
 from .spectral import perron
 
@@ -149,15 +150,17 @@ class DistanceMatrix:
         )
 
 
-def _labels_of(graph_or_matrix) -> tuple[str, ...] | None:
-    if isinstance(graph_or_matrix, WeightedMultigraph):
-        return graph_or_matrix.labels
-    return getattr(graph_or_matrix, "labels", None)
+def _symmetrized(D: np.ndarray) -> np.ndarray:
+    """(D + D^T)/2 with an exactly zero diagonal."""
+    D = 0.5 * (D + D.T)
+    np.fill_diagonal(D, 0.0)
+    return D
 
 
-def _require_usable(graph_or_matrix) -> None:
-    if isinstance(graph_or_matrix, WeightedMultigraph):
-        require_connected(graph_or_matrix)
+def _fold(H: np.ndarray) -> np.ndarray:
+    """The fold d_ij = (h_ii + h_jj)/2 - h_ij, symmetrized, zero diagonal."""
+    h = np.diag(H)
+    return _symmetrized(0.5 * (h[:, None] + h[None, :]) - H)
 
 
 def _solve_guarded(M: np.ndarray, context: str) -> np.ndarray:
@@ -198,12 +201,7 @@ def proximity_to_distance(S, theta: float = 1.0, *, family: str = "walk",
     M = np.asarray(S, dtype=float)
     if (M <= 0).any():
         raise GraphInputError("proximity matrix must be strictly positive to take logs")
-    H = theta * np.log(M)
-    h = np.diag(H)
-    D = 0.5 * (h[:, None] + h[None, :]) - H
-    D = 0.5 * (D + D.T)
-    np.fill_diagonal(D, 0.0)
-    return DistanceMatrix(entries=D, family=family, param=param,
+    return DistanceMatrix(entries=_fold(theta * np.log(M)), family=family, param=param,
                           labels=tuple(labels) if labels is not None else None)
 
 
@@ -213,12 +211,8 @@ def gap_distance(S, *, family: str, param=None, labels=None) -> DistanceMatrix:
     d_ij = (s_ii + s_jj)/2 - s_ij. Metric for the proximity kinds used
     here, but not graph-geodetic.
     """
-    M = np.asarray(S, dtype=float)
-    s = np.diag(M)
-    D = 0.5 * (s[:, None] + s[None, :]) - M
-    D = 0.5 * (D + D.T)
-    np.fill_diagonal(D, 0.0)
-    return DistanceMatrix(entries=D, family=family, param=param,
+    return DistanceMatrix(entries=_fold(np.asarray(S, dtype=float)),
+                          family=family, param=param,
                           labels=tuple(labels) if labels is not None else None)
 
 
@@ -233,6 +227,14 @@ def walk_distance(A, alpha: float = 1.0) -> DistanceMatrix:
     sd = perron(M)
     point = ParamPoint.from_alpha(sd.rho, alpha, M.shape[0])
     R = walk_weight_matrix(M, point.t)
+    if (R.entries <= 0).any():
+        # Weights between vertices d hops apart scale like t^d; at tiny
+        # alpha they leave the float64 range and the solve returns zeros
+        # or rounding-negative entries. The input is fine, the log is not.
+        raise NumericalError(
+            f"walk weights underflowed at alpha={alpha!r} (t={point.t!r}); "
+            "alpha is too small for this graph"
+        )
     return proximity_to_distance(
         R, point.theta, family="walk", param=point, labels=_labels_of(A)
     )
@@ -267,30 +269,13 @@ def log_forest_distance(
 ) -> DistanceMatrix:
     """Logarithmic forest distance.
 
-    The graph's edge weights are mapped through `weight_transform`
-    (default w -> alpha*w, applied per edge before re-aggregation), the
-    proximity Q = (I + L_transformed)^(-1) is formed, and distances come
-    from theta * ln(Q). theta defaults to walk_scale(alpha, n), the same
-    convention the walk family uses.
+    Distances come from theta * ln(Q) with Q = log_forest_proximity(g,
+    alpha, weight_transform). theta defaults to walk_scale(alpha, n), the
+    same convention the walk family uses.
     """
-    if alpha <= 0:
-        raise GraphInputError(f"alpha must be positive, got {alpha!r}")
-    if weight_transform is None:
-        weight_transform = lambda w: alpha * w
-    if isinstance(g, WeightedMultigraph):
-        require_connected(g)
-        transformed = map_edge_weights(g, lambda e: weight_transform(e.weight))
-        L = as_laplacian(transformed)
-    else:
-        # A bare matrix carries no multi-edge structure; apply the
-        # transform entrywise, which matches for linear transforms.
-        A = as_adjacency(g)
-        At = np.where(A != 0, np.vectorize(weight_transform)(A), 0.0)
-        L = np.diag(At.sum(axis=1)) - At
-    n = L.shape[0]
+    Q = log_forest_proximity(g, alpha, weight_transform)
     if theta is None:
-        theta = walk_scale(alpha, n)
-    Q = _solve_guarded(np.eye(n) + L, "log_forest_distance")
+        theta = walk_scale(alpha, Q.n)
     return proximity_to_distance(
         Q, theta, family="log-forest", param=f"alpha={alpha!r}", labels=_labels_of(g)
     )
@@ -298,13 +283,23 @@ def log_forest_distance(
 
 def log_forest_proximity(g, alpha: float = 1.0,
                          weight_transform: Callable[[float], float] | None = None) -> ProximityMatrix:
-    """Q_alpha = (I + L_alpha)^(-1), the proximity behind log_forest_distance."""
+    """Q_alpha = (I + L_alpha)^(-1), the proximity behind log_forest_distance.
+
+    The graph's edge weights are mapped through `weight_transform`
+    (default w -> alpha*w, applied per edge before re-aggregation) to
+    give the transformed Laplacian L_alpha.
+    """
+    if alpha <= 0:
+        raise GraphInputError(f"alpha must be positive, got {alpha!r}")
+    _require_usable(g)
     if weight_transform is None:
         weight_transform = lambda w: alpha * w
     if isinstance(g, WeightedMultigraph):
         transformed = map_edge_weights(g, lambda e: weight_transform(e.weight))
         L = as_laplacian(transformed)
     else:
+        # A bare matrix carries no multi-edge structure; apply the
+        # transform entrywise, which matches for linear transforms.
         A = as_adjacency(g)
         At = np.where(A != 0, np.vectorize(weight_transform)(A), 0.0)
         L = np.diag(At.sum(axis=1)) - At

@@ -177,6 +177,26 @@ def test_sweep_csv(capsys):
     assert all(r[3] == "" for r in rows)
 
 
+def test_walk_underflow_is_a_numerical_failure(tmp_path, capsys):
+    # On P100 at alpha = 1e-4, t^99 underflows float64: the end-to-end
+    # walk weight is 0, so its log is undefined. That is a numerical
+    # failure (exit 3), and a sweep records it as a failed point.
+    path = tmp_path / "p100.edges"
+    path.write_text(serialize_edge_list(path_graph(100)))
+    assert run(["dist", "--metric", "walk", "--alpha", "1e-4",
+                "--input", str(path)]) == 3
+    assert "underflow" in capsys.readouterr().err
+    assert run(["sweep", "--metric", "walk", "--direction", "small-alpha",
+                "--input", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header_at = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+    rows = {float(r[0]): r for r in
+            (l.split(",", 3) for l in lines[header_at + 1:] if l)}
+    assert sorted(rows) == [1e-4, 1e-3, 1e-2, 1e-1]
+    assert rows[1e-4][3].startswith("NumericalError")
+    assert all(rows[a][3] == "" for a in (1e-3, 1e-2, 1e-1))
+
+
 def test_sweep_rejects_bad_alphas():
     assert run(["sweep", "--metric", "walk", "--direction", "small-alpha",
                 "--alphas", "0.1,zero"]) == 2
