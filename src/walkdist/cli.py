@@ -226,7 +226,7 @@ def _compute_metric(g: WeightedMultigraph, args) -> tuple[np.ndarray, dict]:
         D = ewalk.ewalk_distance(g, alpha, schedule)
         meta.update(alpha=alpha, theta=schedule(alpha))
     elif metric == "long-walk":
-        D = limits.long_walk_distance(A).with_labels(g.labels)
+        D = limits.long_walk_distance(g)
         meta.update(theta=ewalk.theta_infinity(g))
     elif metric == "long-ewalk":
         D = ewalk.long_ewalk_distance(g)

@@ -27,8 +27,9 @@ import numpy as np
 from .errors import ConvergenceError, GraphInputError, NumericalError
 from .graph import (WeightedMultigraph, _labels_of, _require_usable, as_adjacency,
                     map_edge_weights, require_connected)
-from .limits import SweepPoint, limit_sweep, weighted_shortest_path_matrix
-from .spectral import perron
+from .limits import (SweepPoint, _long_walk_form, _minor_solve_sums, _spectral, limit_sweep,
+                     weighted_shortest_path_matrix)
+from .spectral import SpectralData, perron
 from .walk import DistanceMatrix, _fold, _symmetrized
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "theta_schedule_for",
     "ewalk_distance",
     "long_ewalk_distance",
+    "long_ewalk_via_minors",
     "ewalk_limit_sweep",
 ]
 
@@ -124,30 +126,38 @@ def epsilon_transform(g: WeightedMultigraph, alpha: float) -> WeightedMultigraph
     return map_edge_weights(g, lambda e: _transformed_weight(e.weight, rho, alpha))
 
 
-def epsilon_weight_matrix(g, alpha: float) -> np.ndarray:
-    """Aggregated adjacency matrix of the transformed graph, in float64.
+def epsilon_weight_matrix(g, alpha: float, dtype=np.float64) -> np.ndarray:
+    """Aggregated adjacency matrix of the transformed graph, in `dtype`.
 
     For a multigraph each parallel edge is transformed on its own weight
     before summation; for a bare matrix the transform applies entrywise.
-    Entries may underflow to exactly 0.0 for small alpha.
+    Entries may underflow to exactly 0.0 for small alpha. In float64 that
+    can lose edges entirely (exp(-1/(alpha*w)) underflows near
+    alpha ~ 1e-3 on unit weights), so the extended-precision fallback
+    rebuilds the matrix from the original weights with dtype=np.longdouble
+    rather than upcasting an already-degraded one.
     """
     if alpha <= 0:
         raise GraphInputError(f"alpha must be positive, got {alpha!r}")
     M = as_adjacency(g)
-    rho = perron(M).rho
+    rho = dtype(perron(M).rho)
+    a = dtype(alpha)
     n = M.shape[0]
-    if isinstance(g, WeightedMultigraph):
-        with np.errstate(under="ignore"):
-            W = np.zeros((n, n))
+    with np.errstate(under="ignore"):
+        if isinstance(g, WeightedMultigraph):
+            W = np.zeros((n, n), dtype=dtype)
             for e in g.edges:
                 u, v = g.position(e.a), g.position(e.b)
-                w = _transformed_weight(e.weight, rho, alpha)
-                W[u, v] += w
+                w = dtype(e.weight)
+                t = (w / rho) * np.exp(-1.0 / (a * w))
+                W[u, v] += t
                 if u != v:
-                    W[v, u] += w
-        return W
-    with np.errstate(under="ignore"):
-        return np.where(M > 0, (M / rho) * np.exp(-1.0 / (alpha * np.where(M > 0, M, 1.0))), 0.0)
+                    W[v, u] += t
+            return W
+        Mt = M.astype(dtype)
+        pos = Mt > 0
+        safe = np.where(pos, Mt, dtype(1.0))
+        return np.where(pos, (Mt / rho) * np.exp(-1.0 / (a * safe)), dtype(0.0))
 
 
 def theta_infinity(A) -> float:
@@ -161,8 +171,10 @@ def theta_infinity(A) -> float:
     C counts them.
     """
     M = as_adjacency(A)
-    sd = perron(M)
-    counts = indicator_matrix(A)
+    return _theta_infinity(M, perron(M), indicator_matrix(A))
+
+
+def _theta_infinity(M: np.ndarray, sd: SpectralData, counts: np.ndarray) -> float:
     return float((2.0 / M.shape[0]) * (sd.p @ (M / sd.rho) @ sd.p)
                  / (sd.p @ counts @ sd.p))
 
@@ -181,36 +193,6 @@ def _log_proximity_float64(W: np.ndarray) -> np.ndarray | None:
     if off.size and off.min() < UNDERFLOW_FLOOR:
         return None
     return np.log(R)
-
-
-def _epsilon_weight_matrix_longdouble(g, alpha: float) -> np.ndarray:
-    """The transformed adjacency rebuilt in extended precision.
-
-    The float64 builder can lose edges entirely (exp(-1/(alpha*w))
-    underflows to 0.0 near alpha ~ 1e-3 on unit weights), so the
-    fallback path recomputes the transform from the original weights in
-    longdouble rather than upcasting an already-degraded matrix.
-    """
-    M = as_adjacency(g)
-    rho = np.longdouble(perron(M).rho)
-    a = np.longdouble(alpha)
-    n = M.shape[0]
-    with np.errstate(under="ignore"):
-        if isinstance(g, WeightedMultigraph):
-            W = np.zeros((n, n), dtype=np.longdouble)
-            for e in g.edges:
-                u, v = g.position(e.a), g.position(e.b)
-                w = np.longdouble(e.weight)
-                t = (w / rho) * np.exp(-1.0 / (a * w))
-                W[u, v] += t
-                if u != v:
-                    W[v, u] += t
-            return W
-        Mld = M.astype(np.longdouble)
-        pos = Mld > 0
-        safe = np.where(pos, Mld, np.longdouble(1.0))
-        return np.where(pos, (Mld / rho) * np.exp(-1.0 / (a * safe)),
-                        np.longdouble(0.0))
 
 
 def _log_proximity_longdouble(Wld: np.ndarray) -> np.ndarray:
@@ -271,7 +253,7 @@ def ewalk_distance(g, alpha: float, schedule: ThetaSchedule | None = None) -> Di
     scale = schedule(alpha) * alpha
     logR = _log_proximity_float64(W)
     if logR is None:
-        logR = _log_proximity_longdouble(_epsilon_weight_matrix_longdouble(g, alpha))
+        logR = _log_proximity_longdouble(epsilon_weight_matrix(g, alpha, np.longdouble))
     return DistanceMatrix(entries=scale * _fold(logR), family="e-walk",
                           param=f"alpha={alpha!r}", labels=_labels_of(g))
 
@@ -279,26 +261,49 @@ def ewalk_distance(g, alpha: float, schedule: ThetaSchedule | None = None) -> Di
 def long_ewalk_distance(A, theta_inf: float | None = None) -> DistanceMatrix:
     """The alpha -> infinity limit of the e-walk distances, in closed form.
 
+    long_ewalk_via_minors evaluates the paper's form: with C the edge-count
+    matrix of indicator_matrix(A), b = C p and Lambda = rho*I - A,
+
+        d(i, j) = (theta_inf/2) * (c_ij + c_ji),   c_ij = x_i / p_i,
+
+    where x_j = 0 and (Lambda x)_k = b_k for every k != j. Then
+    Lambda x = b - (p^T b/p_j) e_j (p^T Lambda = 0 fixes entry j), a
+    vector orthogonal to p, so for any g-inverse Z of Lambda,
+    x = Z b - (p^T b/p_j) Z e_j + gamma p with gamma chosen to make
+    x_j = 0. That gives
+
+        c_ij = (Zb)_i/p_i - (Zb)_j/p_j + (p^T b) (Z_jj/p_j^2 - Z_ij/(p_i p_j)).
+
+    The (Zb) terms are antisymmetric in (i, j) and cancel in c_ij + c_ji,
+    which leaves (p^T C p) z^T Z z with z = e_i/p_i - e_j/p_j. The long-walk
+    distance is (p^T p / n) z^T Z z, so with p~ the unit Perron vector
+
+        d = theta_inf * n * (p~^T C p~) / 2 * long-walk distance,
+
+    one O(n^3) solve. At theta_inf = theta_infinity(A) the factor is
+    p~^T A p~ / rho = 1 and this equals long_walk_distance(A); any other
+    positive value just rescales the matrix.
+    """
+    M, sd = _spectral(A)
+    counts = indicator_matrix(A)
+    if theta_inf is None:
+        theta_inf = _theta_infinity(M, sd, counts)
+    scale = theta_inf * M.shape[0] * float(sd.p_tilde @ counts @ sd.p_tilde) / 2.0
+    return DistanceMatrix(entries=scale * _long_walk_form(M, sd), family="long-ewalk",
+                          param="limit", labels=_labels_of(A))
+
+
+def long_ewalk_via_minors(A, theta_inf: float | None = None) -> DistanceMatrix:
+    """long_ewalk_distance from indicator-weighted minor solves (oracle, O(n^4)).
+
     d(i, j) = (theta_inf/2) * [ (1/p_i) * row i of (Lambda minor at j)^(-1)
               applied to (edge-count rows without j) @ p  +  symmetric term ].
-    With theta_inf = theta_infinity(A) this equals long_walk_distance(A)
-    exactly; any other positive value just rescales the matrix.
     """
-    M = as_adjacency(A)
-    _require_usable(A)
-    sd = perron(M)
-    n = M.shape[0]
+    M, sd = _spectral(A)
     if theta_inf is None:
         theta_inf = theta_infinity(A)
-    indicator = indicator_matrix(A)
-    Lam = sd.rho * np.eye(n) - M
-    C = np.zeros((n, n))
-    for j in range(n):
-        keep = [k for k in range(n) if k != j]
-        x = np.linalg.solve(Lam[np.ix_(keep, keep)], indicator[keep, :] @ sd.p)
-        C[keep, j] = x / sd.p[keep]
-    return DistanceMatrix(entries=_symmetrized((theta_inf / 2.0) * (C + C.T)),
-                          family="long-ewalk",
+    S = _minor_solve_sums(sd.rho * np.eye(M.shape[0]) - M, indicator_matrix(A) @ sd.p, sd.p)
+    return DistanceMatrix(entries=_symmetrized((theta_inf / 2.0) * S), family="long-ewalk",
                           param="limit", labels=_labels_of(A))
 
 

@@ -8,17 +8,18 @@ Lambda = rho*I - A. This module computes
 * shortest path (hop count) and weighted shortest path (edge length 1/w),
 * hitting-walk and commute-cycle weights, which turn walk distances into
   ratios of walk weights and stay finite at t = 1/rho,
-* the long-walk distance through five independent closed forms
-  (minor solves, a stochastic similarity form, a row-scaled full-size
-  form, a determinant ratio, and g-inverse quadratic forms),
-* the resistance distance with the matching determinant / g-inverse /
-  reduced-matrix alternates,
+* the long-walk and the resistance distance, each by one O(n^3) default:
+  a quadratic form in a g-inverse of Lambda (resp. of the Laplacian L),
+* the paper's other closed forms for both (minor solves, a stochastic
+  similarity form, a row-scaled full-size form, determinant ratios and
+  reduced-matrix solves), kept as oracles and collected by
+  long_walk_all_formulas and resistance_all_formulas,
 * a limit-sweep driver that measures how fast a parametric family
   approaches a reference metric.
 
-Every long-walk and resistance variant must agree with the others to
-high precision; the redundancy is the point, since each formula
-exercises a different numerical path.
+Every oracle must agree with the default to high precision; each one
+exercises a different numerical path, which is what makes the
+agreement a check.
 """
 
 from __future__ import annotations
@@ -47,17 +48,17 @@ __all__ = [
     "commute_cycle_weight",
     "commute_cycle_matrix",
     "long_walk_distance",
+    "long_walk_via_minors",
     "long_walk_via_stochastic",
     "long_walk_via_row_scaled",
     "long_walk_via_determinant",
-    "long_walk_via_ginverse",
     "long_walk_via_reduced",
     "long_walk_all_formulas",
     "laplacian_ginverse",
     "para_laplacian_ginverse",
     "resistance_distance",
+    "resistance_via_minors",
     "resistance_via_determinant",
-    "resistance_via_ginverse",
     "resistance_via_reduced",
     "resistance_all_formulas",
     "limit_sweep",
@@ -209,7 +210,7 @@ def commute_cycle_matrix(A, t: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# long-walk distance, five ways
+# long-walk distance: the default and its oracles
 
 
 def _spectral(A) -> tuple[np.ndarray, SpectralData]:
@@ -218,23 +219,53 @@ def _spectral(A) -> tuple[np.ndarray, SpectralData]:
     return M, perron(M)
 
 
-def long_walk_distance(A) -> DistanceMatrix:
-    """Long-walk distance from para-Laplacian minors (reference formula).
+def _minor_solve_sums(X: np.ndarray, b: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """c_ij + c_ji with c_ij = x_i / scale_i, where x solves the system
+    of X minus row and column j against b minus entry j (x_j = 0)."""
+    n = X.shape[0]
+    C = np.zeros((n, n))
+    for j in range(n):
+        keep = np.arange(n) != j
+        C[keep, j] = np.linalg.solve(X[np.ix_(keep, keep)], b[keep]) / scale[keep]
+    return C + C.T
+
+
+def _long_walk_form(M: np.ndarray, sd: SpectralData,
+                    ginverse: GInverse | None = None) -> np.ndarray:
+    if ginverse is None:
+        ginverse = para_laplacian_ginverse(sd.rho * np.eye(M.shape[0]) - M, sd.p_tilde)
+    # d(i,j) = Z_ii/p'_i^2 + Z_jj/p'_j^2 - 2 Z_ij/(p'_i p'_j), twice the
+    # fold of Z conjugated with diag(1/p').
+    W = np.asarray(ginverse.matrix, dtype=float) / np.outer(sd.p_prime, sd.p_prime)
+    return 2.0 * _fold(W)
+
+
+def long_walk_distance(A, ginverse: GInverse | None = None) -> DistanceMatrix:
+    """Long-walk distance as a quadratic form in a para-Laplacian g-inverse.
+
+    d(i, j) = z' Z z with z = e_i/p'_i - e_j/p'_j and Z a g-inverse of
+    Lambda = rho*I - A. The vector z is orthogonal to the Perron vector
+    (p_k / p'_k is constant in k), so any g-inverse gives the same value;
+    the default is the group inverse, one O(n^3) solve. This is the
+    alpha -> infinity limit of the scaled walk distances; it is
+    graph-geodetic and squared-Euclidean. long_walk_all_formulas adds the
+    paper's other closed forms as cross-checks.
+    """
+    M, sd = _spectral(A)
+    return DistanceMatrix(entries=_long_walk_form(M, sd, ginverse), family="long-walk",
+                          param="limit", labels=_labels_of(A))
+
+
+def long_walk_via_minors(A) -> DistanceMatrix:
+    """Long-walk distance from para-Laplacian minors (oracle, O(n^4)).
 
     d(i, j) = (1/n) * [ (inverse of Lambda minor at j, row i) . p_without_j
-                        / p_i  +  the same with i and j swapped ],
-    Lambda = rho*I - A. This is the alpha -> infinity limit of the scaled
-    walk distances; it is graph-geodetic and squared-Euclidean.
+                        / p_i  +  the same with i and j swapped ].
     """
     M, sd = _spectral(A)
     n = M.shape[0]
-    Lam = sd.rho * np.eye(n) - M
-    C = np.zeros((n, n))
-    for j in range(n):
-        keep = [k for k in range(n) if k != j]
-        x = np.linalg.solve(Lam[np.ix_(keep, keep)], sd.p[keep])
-        C[keep, j] = x / sd.p[keep]
-    return DistanceMatrix(entries=_symmetrized((C + C.T) / n), family="long-walk",
+    S = _minor_solve_sums(sd.rho * np.eye(n) - M, sd.p, sd.p)
+    return DistanceMatrix(entries=_symmetrized(S / n), family="long-walk",
                           param="limit", labels=_labels_of(A))
 
 
@@ -244,19 +275,14 @@ def long_walk_via_stochastic(A) -> DistanceMatrix:
     d(i, j) = (1/n) * [ row sum i of (rho*I - B minor at j)^(-1)
                         + row sum j of (rho*I - B minor at i)^(-1) ].
     B is A conjugated by diag(p); rho*I - B has the all-ones right null
-    vector, which turns the Perron-weighted solve of the reference
-    formula into plain row sums.
+    vector, which turns the Perron-weighted solve of long_walk_via_minors
+    into plain row sums.
     """
     M, sd = _spectral(A)
     n = M.shape[0]
     B = M * (sd.p[None, :] / sd.p[:, None])
-    C = np.zeros((n, n))
-    for j in range(n):
-        keep = [k for k in range(n) if k != j]
-        x = np.linalg.solve(sd.rho * np.eye(n - 1) - B[np.ix_(keep, keep)],
-                            np.ones(n - 1))
-        C[keep, j] = x
-    return DistanceMatrix(entries=_symmetrized((C + C.T) / n), family="long-walk",
+    S = _minor_solve_sums(sd.rho * np.eye(n) - B, np.ones(n), np.ones(n))
+    return DistanceMatrix(entries=_symmetrized(S / n), family="long-walk",
                           param="limit", labels=_labels_of(A))
 
 
@@ -391,83 +417,78 @@ def para_laplacian_ginverse(Lam, p_tilde, kind: str = "group") -> GInverse:
     return GInverse(matrix=Z, kind=kind)
 
 
-def long_walk_via_ginverse(A, ginverse: GInverse | None = None) -> DistanceMatrix:
-    """Long-walk distance as a quadratic form in a para-Laplacian g-inverse.
+def _reduced_ginverse(X: np.ndarray, u: int, v: int) -> GInverse:
+    """G-inverse of a corank-1 symmetric X from one reduced solve.
 
-    d(i, j) = z' Z z with z = e_i/p'_i - e_j/p'_j. The vector z is
-    orthogonal to the Perron vector (p_k / p'_k is constant in k), so any
-    g-inverse Z of Lambda gives the same value.
+    Delete row v and column u of X and invert what is left. Put back into
+    an n x n matrix, with zeros in row u and column v, that inverse is a
+    g-inverse of X for every (u, v) where the reduced matrix is
+    nonsingular.
     """
-    M, sd = _spectral(A)
-    n = M.shape[0]
-    if ginverse is None:
-        ginverse = para_laplacian_ginverse(sd.rho * np.eye(n) - M, sd.p_tilde)
-    Z = np.asarray(ginverse.matrix, dtype=float)
-    # d(i,j) = Z_ii/p'_i^2 + Z_jj/p'_j^2 - 2 Z_ij/(p'_i p'_j), twice the
-    # fold of Z conjugated with diag(1/p').
-    W = Z / np.outer(sd.p_prime, sd.p_prime)
-    return DistanceMatrix(entries=2.0 * _fold(W), family="long-walk",
-                          param="limit", labels=_labels_of(A))
+    n = X.shape[0]
+    if not (0 <= u < n and 0 <= v < n):
+        raise GraphInputError(f"(u, v)=({u}, {v}) out of range for order {n}")
+    Z = np.zeros((n, n))
+    Z[np.ix_(np.arange(n) != u, np.arange(n) != v)] = np.linalg.solve(
+        np.delete(np.delete(X, v, axis=0), u, axis=1), np.eye(n - 1))
+    return GInverse(matrix=Z, kind="reduced")
 
 
 def long_walk_via_reduced(A, u: int = 0, v: int = 0) -> DistanceMatrix:
     """Long-walk distance from one reduced para-Laplacian solve.
 
-    Delete row v and column u of Lambda, invert, and evaluate
-    z_without_u' @ inverse @ z_without_v with z = e_i/p'_i - e_j/p'_j.
-    Embedding that inverse back into an n x n matrix (zero row v, zero
-    column u) yields a g-inverse of Lambda, so the result matches the
-    other formulas for every admissible (u, v).
+    Delete row v and column u of Lambda and invert; embedded back into an
+    n x n matrix (zero row u, zero column v) that inverse is a g-inverse
+    of Lambda, so the result matches the other formulas for every
+    admissible (u, v).
     """
     M, sd = _spectral(A)
-    n = M.shape[0]
-    if not (0 <= u < n and 0 <= v < n):
-        raise GraphInputError(f"(u, v)=({u}, {v}) out of range for order {n}")
-    Lam = sd.rho * np.eye(n) - M
-    red = np.delete(np.delete(Lam, v, axis=0), u, axis=1)
-    Y = np.linalg.solve(red, np.eye(n - 1))
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            z = np.zeros(n)
-            z[i] = 1.0 / sd.p_prime[i]
-            z[j] = -1.0 / sd.p_prime[j]
-            D[i, j] = D[j, i] = float(np.delete(z, u) @ Y @ np.delete(z, v))
-    return DistanceMatrix(entries=_symmetrized(D), family="long-walk",
-                          param="limit", labels=_labels_of(A))
+    Z = _reduced_ginverse(sd.rho * np.eye(M.shape[0]) - M, u, v)
+    return long_walk_distance(A, ginverse=Z)
 
 
 def long_walk_all_formulas(A) -> dict[str, DistanceMatrix]:
     """All five independent long-walk computations, keyed by variant name."""
     return {
-        "minor-solve": long_walk_distance(A),
+        "minor-solve": long_walk_via_minors(A),
         "stochastic": long_walk_via_stochastic(A),
         "row-scaled": long_walk_via_row_scaled(A),
         "determinant": long_walk_via_determinant(A),
-        "ginverse": long_walk_via_ginverse(A),
+        "ginverse": long_walk_distance(A),
     }
 
 
 # ---------------------------------------------------------------------------
-# resistance distance
+# resistance distance: the default and its oracles
 
 
-def resistance_distance(g) -> DistanceMatrix:
+def resistance_distance(g, ginverse: GInverse | None = None) -> DistanceMatrix:
     """Effective resistance with edge weights as conductances.
+
+    d(i, j) = Z_ii + Z_jj - 2 Z_ij for any g-inverse Z of the Laplacian
+    L; the default is the group inverse, one O(n^3) solve. On trees this
+    coincides with the weighted shortest path metric.
+    resistance_all_formulas adds the other closed forms as cross-checks.
+    """
+    _require_usable(g)
+    if ginverse is None:
+        ginverse = laplacian_ginverse(as_laplacian(g))
+    Z = np.asarray(ginverse.matrix, dtype=float)
+    return DistanceMatrix(entries=2.0 * _fold(Z), family="resistance",
+                          param="limit", labels=_labels_of(g))
+
+
+def resistance_via_minors(g) -> DistanceMatrix:
+    """Resistance from Laplacian minors (oracle, O(n^4)).
 
     d(i, j) = (1/n) * [ row sum i of (L minor at j)^(-1)
                         + row sum j of (L minor at i)^(-1) ].
-    On trees this coincides with the weighted shortest path metric.
     """
     _require_usable(g)
     L = as_laplacian(g)
     n = L.shape[0]
-    C = np.zeros((n, n))
-    for j in range(n):
-        keep = [k for k in range(n) if k != j]
-        x = np.linalg.solve(L[np.ix_(keep, keep)], np.ones(n - 1))
-        C[keep, j] = x
-    return DistanceMatrix(entries=_symmetrized((C + C.T) / n), family="resistance",
+    S = _minor_solve_sums(L, np.ones(n), np.ones(n))
+    return DistanceMatrix(entries=_symmetrized(S / n), family="resistance",
                           param="limit", labels=_labels_of(g))
 
 
@@ -500,47 +521,23 @@ def resistance_via_determinant(g, u: int = 0, v: int = 0) -> DistanceMatrix:
                           labels=_labels_of(g))
 
 
-def resistance_via_ginverse(g, ginverse: GInverse | None = None) -> DistanceMatrix:
-    """Resistance from any Laplacian g-inverse: d = Z_ii + Z_jj - 2 Z_ij."""
-    _require_usable(g)
-    L = as_laplacian(g)
-    if ginverse is None:
-        ginverse = laplacian_ginverse(L)
-    Z = np.asarray(ginverse.matrix, dtype=float)
-    return DistanceMatrix(entries=2.0 * _fold(Z), family="resistance",
-                          param="limit", labels=_labels_of(g))
-
-
 def resistance_via_reduced(g, u: int = 0, v: int = 0) -> DistanceMatrix:
     """Resistance from one reduced Laplacian solve.
 
-    Delete row v and column u of L, invert, and evaluate
-    x_without_u' @ inverse @ x_without_v with x = e_i - e_j. As with the
-    long-walk analogue, the embedded inverse is a g-inverse of L.
+    Delete row v and column u of L and invert; as with the long-walk
+    analogue, the embedded inverse is a g-inverse of L.
     """
     _require_usable(g)
-    L = as_laplacian(g)
-    n = L.shape[0]
-    if not (0 <= u < n and 0 <= v < n):
-        raise GraphInputError(f"(u, v)=({u}, {v}) out of range for order {n}")
-    Y = np.linalg.solve(np.delete(np.delete(L, v, axis=0), u, axis=1), np.eye(n - 1))
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            x = np.zeros(n)
-            x[i], x[j] = 1.0, -1.0
-            D[i, j] = D[j, i] = float(np.delete(x, u) @ Y @ np.delete(x, v))
-    return DistanceMatrix(entries=_symmetrized(D), family="resistance",
-                          param="limit", labels=_labels_of(g))
+    return resistance_distance(g, ginverse=_reduced_ginverse(as_laplacian(g), u, v))
 
 
 def resistance_all_formulas(g) -> dict[str, DistanceMatrix]:
     return {
-        "minor-solve": resistance_distance(g),
+        "minor-solve": resistance_via_minors(g),
         "determinant": resistance_via_determinant(g),
-        "ginverse-shifted": resistance_via_ginverse(
-            g, laplacian_ginverse(as_laplacian(g), kind="shifted")),
-        "ginverse-group": resistance_via_ginverse(g),
+        "ginverse-shifted": resistance_distance(
+            g, ginverse=laplacian_ginverse(as_laplacian(g), kind="shifted")),
+        "ginverse-group": resistance_distance(g),
         "reduced": resistance_via_reduced(g),
     }
 

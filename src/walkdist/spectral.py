@@ -14,7 +14,6 @@ of Rayleigh-quotient iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -38,18 +37,6 @@ class SpectralData:
     p: np.ndarray        # positive, sums to 1
     p_tilde: np.ndarray  # positive, unit 2-norm
     p_prime: np.ndarray  # sqrt(n) * p_tilde, so that ||p_prime||_2^2 = n
-
-    @cached_property
-    def P(self) -> np.ndarray:
-        return np.diag(self.p)
-
-    @cached_property
-    def P_prime(self) -> np.ndarray:
-        return np.diag(self.p_prime)
-
-    @property
-    def n(self) -> int:
-        return self.p.shape[0]
 
 
 def _validate_input(A: np.ndarray) -> None:

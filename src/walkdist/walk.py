@@ -143,12 +143,6 @@ class DistanceMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def with_labels(self, labels) -> "DistanceMatrix":
-        return DistanceMatrix(
-            entries=self.entries, family=self.family, param=self.param,
-            labels=tuple(labels),
-        )
-
 
 def _symmetrized(D: np.ndarray) -> np.ndarray:
     """(D + D^T)/2 with an exactly zero diagonal."""

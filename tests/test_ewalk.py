@@ -18,7 +18,7 @@ from walkdist import (
     theta_schedule_for,
     weighted_shortest_path_matrix,
 )
-from walkdist.ewalk import epsilon_weight_matrix, indicator_matrix
+from walkdist.ewalk import epsilon_weight_matrix, indicator_matrix, long_ewalk_via_minors
 
 
 def test_epsilon_transform_per_edge(multi5):
@@ -95,6 +95,9 @@ def test_long_ewalk_equals_long_walk_at_tuned_scale(p4, c4, wp4, multi5):
         lew = np.asarray(long_ewalk_distance(g))
         lw = np.asarray(long_walk_distance(as_adjacency(g)))
         assert np.abs(lew - lw).max() <= 1e-11 * np.abs(lw).max()
+        # the minor-solve oracle checks the claim on its own path
+        oracle = np.asarray(long_ewalk_via_minors(g))
+        assert np.abs(oracle - lw).max() <= 1e-11 * np.abs(lw).max()
 
 
 def test_long_ewalk_scale_parameter_just_rescales(p4):
@@ -102,6 +105,8 @@ def test_long_ewalk_scale_parameter_just_rescales(p4):
     theta = theta_infinity(p4)
     doubled = np.asarray(long_ewalk_distance(p4, theta_inf=2.0 * theta))
     assert np.allclose(doubled, 2.0 * base)
+    oracle = np.asarray(long_ewalk_via_minors(p4, theta_inf=2.0 * theta))
+    assert np.allclose(oracle, doubled)
 
 
 def test_ewalk_converges_to_count_based_limit(multi5):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import random_multigraph
 from walkdist import (
     DivergenceError,
     as_adjacency,
@@ -12,6 +13,7 @@ from walkdist import (
     hitting_weight_matrix,
     laplacian_ginverse,
     limit_sweep,
+    long_ewalk_distance,
     long_walk_all_formulas,
     long_walk_distance,
     path_graph,
@@ -23,7 +25,7 @@ from walkdist import (
     walk_weight_matrix,
     weighted_shortest_path_matrix,
 )
-from walkdist.limits import para_laplacian_ginverse, long_walk_via_reduced
+from walkdist.limits import para_laplacian_ginverse, long_walk_via_reduced, resistance_via_reduced
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -172,9 +174,36 @@ def test_para_laplacian_ginverse(multi5):
 def test_long_walk_reduced_any_pivot(multi5):
     A = as_adjacency(multi5)
     ref = np.asarray(long_walk_distance(A))
+    ref_r = np.asarray(resistance_distance(multi5))
     for u, v in ((0, 0), (1, 3), (4, 2)):
         got = np.asarray(long_walk_via_reduced(A, u, v))
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+        got_r = np.asarray(resistance_via_reduced(multi5, u, v))
+        assert np.abs(got_r - ref_r).max() <= 1e-10 * np.abs(ref_r).max()
+
+
+def _quadratic_form(Z, scale):
+    """z'Zz for every z = e_i/scale_i - e_j/scale_j."""
+    W = Z / np.outer(scale, scale)
+    w = np.diag(W)
+    return w[:, None] + w[None, :] - 2.0 * W
+
+
+def test_limit_metrics_match_pseudoinverse_at_n150():
+    # A random graph with a tiny Perron entry: per-vertex minor solves
+    # lose digits there (off by 6e-8), one g-inverse solve does not. The
+    # references are pseudoinverse quadratic forms, each from one eigh.
+    g = random_multigraph(np.random.default_rng(0), 150, extra_edges=75)
+    A = as_adjacency(g)
+    n = A.shape[0]
+    lam, V = np.linalg.eigh(A)
+    lw_ref = _quadratic_form((V[:, :-1] / (lam[-1] - lam[:-1])) @ V[:, :-1].T,
+                             np.sqrt(n) * np.abs(V[:, -1]))
+    mu, U = np.linalg.eigh(as_laplacian(g))
+    res_ref = _quadratic_form((U[:, 1:] / mu[1:]) @ U[:, 1:].T, np.ones(n))
+    for D, ref in ((long_walk_distance(A), lw_ref), (long_ewalk_distance(g), lw_ref),
+                   (resistance_distance(g), res_ref)):
+        assert np.abs(np.asarray(D) - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
 def test_limit_sweep_monotone_toward_shortest_path(p4):
