@@ -52,18 +52,22 @@ def _fmt(x: float) -> str:
     return FLOAT_FMT % float(x)
 
 
+def _meta_lines(meta: dict) -> list[str]:
+    return [f"# {key}={_fmt(val) if isinstance(val, float) else val}"
+            for key, val in meta.items() if val is not None]
+
+
 def format_matrix_csv(labels, matrix, meta: dict) -> str:
     """CSV text: '# key=value' metadata lines, then a labeled matrix.
 
     Values use 17 significant digits, so parse_matrix_csv returns the
     exact same floats.
     """
-    M = np.asarray(matrix, dtype=float)
-    lines = [f"# {key}={_fmt(val) if isinstance(val, float) else val}"
-             for key, val in meta.items() if val is not None]
+    rows = np.asarray(matrix, dtype=float).tolist()
+    row_fmt = ",".join([FLOAT_FMT] * len(labels))
+    lines = _meta_lines(meta)
     lines.append("labels," + ",".join(labels))
-    for i, lab in enumerate(labels):
-        lines.append(lab + "," + ",".join(_fmt(x) for x in M[i]))
+    lines += [lab + "," + row_fmt % tuple(row) for lab, row in zip(labels, rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -113,8 +117,7 @@ def format_matrix_json(labels, matrix, meta: dict) -> str:
 
 
 def format_pairs_csv(pairs, meta: dict) -> str:
-    lines = [f"# {key}={_fmt(val) if isinstance(val, float) else val}"
-             for key, val in meta.items() if val is not None]
+    lines = _meta_lines(meta)
     lines.append("i,j,distance")
     for (a, b, d) in pairs:
         lines.append(f"{a},{b},{_fmt(d)}")
@@ -389,8 +392,7 @@ def cmd_sweep(args) -> int:
 
     meta = {"metric": args.metric, "direction": args.direction,
             "reference": ref_name, "n": n, "rho": perron(A).rho}
-    lines = [f"# {k}={_fmt(v) if isinstance(v, float) else v}"
-             for k, v in meta.items()]
+    lines = _meta_lines(meta)
     lines.append("alpha,deviation,theta,failure")
     for pt, theta in zip(points, thetas):
         failure = pt.failure or ""

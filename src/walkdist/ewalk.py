@@ -30,7 +30,7 @@ from .graph import (WeightedMultigraph, _labels_of, _require_usable, as_adjacenc
 from .limits import (SweepPoint, _long_walk_form, _minor_solve_sums, _spectral, limit_sweep,
                      weighted_shortest_path_matrix)
 from .spectral import SpectralData, perron
-from .walk import DistanceMatrix, _fold, _symmetrized
+from .walk import DistanceMatrix, _fold, _require_positive, _spd_inverse, _symmetrized
 
 __all__ = [
     "ThetaSchedule",
@@ -65,14 +65,11 @@ class ThetaSchedule:
     beta: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.beta <= 0:
-            raise GraphInputError(f"beta must be positive, got {self.beta!r}")
-        if self.theta_inf <= 0:
-            raise GraphInputError(f"theta_inf must be positive, got {self.theta_inf!r}")
+        _require_positive(self.beta, "beta")
+        _require_positive(self.theta_inf, "theta_inf")
 
     def __call__(self, alpha: float) -> float:
-        if alpha <= 0:
-            raise GraphInputError(f"alpha must be positive, got {alpha!r}")
+        _require_positive(alpha)
         return (self.theta_inf * alpha + self.beta) / (alpha + self.beta)
 
 
@@ -119,8 +116,7 @@ def epsilon_transform(g: WeightedMultigraph, alpha: float) -> WeightedMultigraph
     is deliberate, the extended-precision path in ewalk_distance does
     not go through a graph object.
     """
-    if alpha <= 0:
-        raise GraphInputError(f"alpha must be positive, got {alpha!r}")
+    _require_positive(alpha)
     require_connected(g)
     rho = perron(as_adjacency(g)).rho
     return map_edge_weights(g, lambda e: _transformed_weight(e.weight, rho, alpha))
@@ -137,8 +133,7 @@ def epsilon_weight_matrix(g, alpha: float, dtype=np.float64) -> np.ndarray:
     rebuilds the matrix from the original weights with dtype=np.longdouble
     rather than upcasting an already-degraded one.
     """
-    if alpha <= 0:
-        raise GraphInputError(f"alpha must be positive, got {alpha!r}")
+    _require_positive(alpha)
     M = as_adjacency(g)
     rho = dtype(perron(M).rho)
     a = dtype(alpha)
@@ -186,7 +181,7 @@ def theta_schedule_for(A, beta: float = 1.0) -> ThetaSchedule:
 def _log_proximity_float64(W: np.ndarray) -> np.ndarray | None:
     """log((I - W)^(-1)) in float64, or None when precision ran out."""
     n = W.shape[0]
-    R = np.linalg.solve(np.eye(n) - W, np.eye(n))
+    R = _spd_inverse(np.eye(n) - W, "ewalk_distance")
     if R.min() <= 0.0:
         return None
     off = R[~np.eye(n, dtype=bool)]
@@ -237,17 +232,13 @@ def ewalk_distance(g, alpha: float, schedule: ThetaSchedule | None = None) -> Di
     r = (I - A(alpha))^(-1) of the transformed adjacency. Graph-geodetic
     for every alpha > 0. The default schedule uses theta_infinity of the
     input graph with beta = 1.
+
+    The Cholesky solve of I - A(alpha) confirms rho(A(alpha)) < 1 and
+    raises IllConditionedError if that or the condition guard fails.
     """
-    if alpha <= 0:
-        raise GraphInputError(f"alpha must be positive, got {alpha!r}")
+    _require_positive(alpha)
     _require_usable(g)
     W = epsilon_weight_matrix(g, alpha)
-    # The transform guarantees rho(A(alpha)) < 1; trust but verify.
-    rho_alpha = float(np.linalg.eigvalsh(W)[-1])
-    if rho_alpha >= 1.0:
-        raise NumericalError(
-            f"transformed spectral radius {rho_alpha} >= 1 at alpha={alpha!r}"
-        )
     if schedule is None:
         schedule = theta_schedule_for(g)
     scale = schedule(alpha) * alpha

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DivergenceError, GraphInputError, IllConditionedError, NumericalError
 from .graph import (
@@ -32,7 +33,7 @@ from .graph import (
     as_laplacian,
     map_edge_weights,
 )
-from .spectral import perron
+from .spectral import _validate_input, perron
 
 __all__ = [
     "ParamPoint",
@@ -51,6 +52,11 @@ __all__ = [
 CONDITION_LIMIT = 1e14
 
 
+def _require_positive(value: float, name: str = "alpha") -> None:
+    if value <= 0:
+        raise GraphInputError(f"{name} must be positive, got {value!r}")
+
+
 def walk_scale(alpha: float, n: int) -> float:
     """Normalizing factor theta(alpha) for the walk-distance family.
 
@@ -59,8 +65,7 @@ def walk_scale(alpha: float, n: int) -> float:
     scaled walk distances interpolate between the shortest-path metric
     (alpha -> 0) and the long-walk metric (alpha -> infinity).
     """
-    if alpha <= 0:
-        raise GraphInputError(f"alpha must be positive, got {alpha!r}")
+    _require_positive(alpha)
     if alpha == 1.0:
         return math.log(math.e + 1.0)
     return math.log(math.e + alpha ** (2.0 / n)) * (alpha - 1.0) / math.log(alpha)
@@ -85,8 +90,7 @@ class ParamPoint:
             raise DivergenceError(
                 f"t={self.t!r} outside (0, 1/rho) for rho={self.rho!r}"
             )
-        if self.alpha <= 0:
-            raise GraphInputError(f"alpha must be positive, got {self.alpha!r}")
+        _require_positive(self.alpha)
 
     @classmethod
     def from_alpha(cls, rho: float, alpha: float, n: int) -> "ParamPoint":
@@ -101,12 +105,8 @@ class ParamPoint:
         return cls(t=t, alpha=alpha, theta=walk_scale(alpha, n), rho=rho)
 
 
-@dataclass(frozen=True)
-class ProximityMatrix:
-    """Positive symmetric matrix of pairwise proximities, with a kind tag."""
-
-    entries: np.ndarray
-    kind: str
+class _MatrixView:
+    """Array access to the `entries` of a matrix result."""
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.entries, dtype=dtype)
@@ -120,7 +120,15 @@ class ProximityMatrix:
 
 
 @dataclass(frozen=True)
-class DistanceMatrix:
+class ProximityMatrix(_MatrixView):
+    """Positive symmetric matrix of pairwise proximities, with a kind tag."""
+
+    entries: np.ndarray
+    kind: str
+
+
+@dataclass(frozen=True)
+class DistanceMatrix(_MatrixView):
     """Symmetric zero-diagonal matrix of pairwise distances.
 
     `family` names the metric family; `param` carries the ParamPoint for
@@ -132,16 +140,6 @@ class DistanceMatrix:
     family: str
     param: ParamPoint | str | None = None
     labels: tuple[str, ...] | None = None
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.entries, dtype=dtype)
-
-    def __getitem__(self, key):
-        return self.entries[key]
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 def _symmetrized(D: np.ndarray) -> np.ndarray:
@@ -157,29 +155,39 @@ def _fold(H: np.ndarray) -> np.ndarray:
     return _symmetrized(0.5 * (h[:, None] + h[None, :]) - H)
 
 
-def _solve_guarded(M: np.ndarray, context: str) -> np.ndarray:
-    condition = np.linalg.cond(M)
-    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
-        raise IllConditionedError(
-            f"{context}: condition estimate {condition:.3e} exceeds {CONDITION_LIMIT:.0e}"
-        )
-    return np.linalg.solve(M, np.eye(M.shape[0]))
+def _spd_inverse(M: np.ndarray, context: str, error=IllConditionedError) -> np.ndarray:
+    """Inverse of a symmetric positive definite M from one Cholesky solve.
+
+    Raises `error` if M is not positive definite, or if ||M|| ||M^(-1)||
+    (infinity norm; it bounds a symmetric M's 2-norm condition) exceeds
+    CONDITION_LIMIT.
+    """
+    try:
+        factor = cho_factor(M)
+    except (np.linalg.LinAlgError, ValueError):  # ValueError: NaN or inf entries
+        raise error(f"{context}: matrix is not finite and positive definite") from None
+    inverse = cho_solve(factor, np.eye(M.shape[0]))
+    condition = np.linalg.norm(M, np.inf) * np.linalg.norm(inverse, np.inf)
+    if not condition <= CONDITION_LIMIT:
+        raise error(f"{context}: condition {condition:.3e} exceeds {CONDITION_LIMIT:.0e}")
+    return inverse
 
 
 def walk_weight_matrix(A, t: float) -> ProximityMatrix:
     """Walk-weight resolvent R_t = (I - tA)^(-1).
 
     Entry (i, j) is the total t-discounted weight of all i -> j walks:
-    sum over k of t^k (A^k)_ij. Requires 0 < t < 1/rho(A).
+    sum over k of t^k (A^k)_ij. It converges for 0 < t < 1/rho(A), exactly
+    where I - tA is positive definite, so the Cholesky solve checks t: a t
+    at 1/rho or within rounding of it raises DivergenceError.
     """
     M = as_adjacency(A)
     _require_usable(A)
-    sd = perron(M)
-    if t <= 0 or t >= 1.0 / sd.rho:
-        raise DivergenceError(
-            f"walk series diverges: t={t!r} not in (0, {1.0 / sd.rho!r})"
-        )
-    R = _solve_guarded(np.eye(M.shape[0]) - t * M, "walk_weight_matrix")
+    _validate_input(M)  # the Cholesky solve reads one triangle only
+    if t <= 0:
+        raise DivergenceError(f"walk series needs t > 0, got t={t!r}")
+    R = _spd_inverse(np.eye(M.shape[0]) - t * M, f"walk series at t={t!r} diverges",
+                     error=DivergenceError)
     return ProximityMatrix(entries=R, kind="walk")
 
 
@@ -210,17 +218,21 @@ def gap_distance(S, *, family: str, param=None, labels=None) -> DistanceMatrix:
                           labels=tuple(labels) if labels is not None else None)
 
 
+def _walk_resolvent(A, alpha: float) -> tuple[ParamPoint, ProximityMatrix]:
+    """The walk parameters at alpha and the resolvent R_t they select."""
+    M = as_adjacency(A)
+    _require_usable(A)
+    point = ParamPoint.from_alpha(perron(M).rho, alpha, M.shape[0])
+    return point, walk_weight_matrix(M, point.t)
+
+
 def walk_distance(A, alpha: float = 1.0) -> DistanceMatrix:
     """Walk distance with parameter alpha.
 
     Evaluates R_t at t = 1/(rho + 1/alpha) and scales the log-derived
     distances by theta = walk_scale(alpha, n).
     """
-    M = as_adjacency(A)
-    _require_usable(A)
-    sd = perron(M)
-    point = ParamPoint.from_alpha(sd.rho, alpha, M.shape[0])
-    R = walk_weight_matrix(M, point.t)
+    point, R = _walk_resolvent(A, alpha)
     if (R.entries <= 0).any():
         # Weights between vertices d hops apart scale like t^d; at tiny
         # alpha they leave the float64 range and the solve returns zeros
@@ -236,21 +248,16 @@ def walk_distance(A, alpha: float = 1.0) -> DistanceMatrix:
 
 def plain_walk_distance(A, alpha: float = 1.0) -> DistanceMatrix:
     """Distance from R_t without the logarithm (a metric, not geodetic)."""
-    M = as_adjacency(A)
-    _require_usable(A)
-    sd = perron(M)
-    point = ParamPoint.from_alpha(sd.rho, alpha, M.shape[0])
-    R = walk_weight_matrix(M, point.t)
+    point, R = _walk_resolvent(A, alpha)
     return gap_distance(R, family="plain-walk", param=point, labels=_labels_of(A))
 
 
 def forest_distance(g, alpha: float = 1.0) -> DistanceMatrix:
     """Distance from (I + alpha*L)^(-1) without the logarithm."""
-    if alpha <= 0:
-        raise GraphInputError(f"alpha must be positive, got {alpha!r}")
+    _require_positive(alpha)
     _require_usable(g)
     L = as_laplacian(g)
-    Q = _solve_guarded(np.eye(L.shape[0]) + alpha * L, "forest_distance")
+    Q = _spd_inverse(np.eye(L.shape[0]) + alpha * L, "forest_distance")
     return gap_distance(Q, family="forest", param=f"alpha={alpha!r}",
                         labels=_labels_of(g))
 
@@ -283,8 +290,7 @@ def log_forest_proximity(g, alpha: float = 1.0,
     (default w -> alpha*w, applied per edge before re-aggregation) to
     give the transformed Laplacian L_alpha.
     """
-    if alpha <= 0:
-        raise GraphInputError(f"alpha must be positive, got {alpha!r}")
+    _require_positive(alpha)
     _require_usable(g)
     if weight_transform is None:
         weight_transform = lambda w: alpha * w
@@ -297,5 +303,5 @@ def log_forest_proximity(g, alpha: float = 1.0,
         A = as_adjacency(g)
         At = np.where(A != 0, np.vectorize(weight_transform)(A), 0.0)
         L = np.diag(At.sum(axis=1)) - At
-    Q = _solve_guarded(np.eye(L.shape[0]) + L, "log_forest_proximity")
+    Q = _spd_inverse(np.eye(L.shape[0]) + L, "log_forest_proximity")
     return ProximityMatrix(entries=Q, kind="log-forest")

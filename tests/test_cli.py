@@ -210,3 +210,15 @@ def test_matrix_csv_roundtrips_any_floats(values):
     labels, M2, _ = parse_matrix_csv(text)
     assert labels == ("a", "b")
     assert np.array_equal(M, M2)
+
+
+def test_matrix_csv_bytes_match_per_entry_format():
+    rng = np.random.default_rng(0)
+    M = rng.standard_normal((300, 300)) * 10.0 ** rng.integers(-300, 300, (300, 300))
+    M[0, 0], M[1, 1], M[2, 2], M[0, 1] = 1e-310, -0.0, 1e300, 0.0
+    labels = [f"v{i}" for i in range(300)]
+    meta = {"metric": "walk", "n": 300, "rho": 2.5, "alpha": None}
+    expect = ["# metric=walk", "# n=300", "# rho=2.5", "labels," + ",".join(labels)]
+    expect += [lab + "," + ",".join("%.17g" % float(x) for x in M[i])
+               for i, lab in enumerate(labels)]
+    assert format_matrix_csv(labels, M, meta) == "\n".join(expect) + "\n"

@@ -205,7 +205,12 @@ def test_as_adjacency_rejects_nonsquare():
 def test_edge_list_serialize_is_parse_inverse(triples):
     assume(any(a != b for a, b, _ in triples))  # parser wants >= 2 vertices
     text = "".join(f"n{a} n{b} {w!r}\n" for a, b, w in triples)
-    g = parse_edge_list(text)
-    h = parse_edge_list(serialize_edge_list(g))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        g = parse_edge_list(text)
+        h = parse_edge_list(serialize_edge_list(g))
+    # a disconnected graph warns once per parse, a connected one never
+    expected = [] if g.is_connected else [DisconnectedGraphWarning] * 2
+    assert [w.category for w in caught] == expected
     assert h.labels == g.labels
     assert h.edges == g.edges

@@ -6,6 +6,7 @@ import pytest
 from walkdist import (
     DivergenceError,
     GraphInputError,
+    IllConditionedError,
     ParamPoint,
     as_adjacency,
     forest_distance,
@@ -52,26 +53,45 @@ def test_param_point_roundtrip(p4):
         ParamPoint.from_t(rho, -0.1, 4)
 
 
-def test_walk_weight_matrix_sums_the_series(multi5):
-    A = as_adjacency(multi5)
-    rho = perron(A).rho
-    t = 0.5 / rho
-    R = np.asarray(walk_weight_matrix(A, t))
+def _series(A, t, terms=200):
     total = np.zeros_like(A)
     term = np.eye(A.shape[0])
-    for _ in range(200):
+    for _ in range(terms):
         total += term
         term = term @ (t * A)
-    assert np.allclose(R, total, rtol=1e-12, atol=1e-12)
+    return total
+
+
+def test_walk_weight_matrix_sums_the_series(multi5):
+    A = as_adjacency(multi5)
+    t = 0.5 / perron(A).rho
+    R = np.asarray(walk_weight_matrix(A, t))
+    assert np.allclose(R, _series(A, t), rtol=1e-12, atol=1e-12)
+    # On paths entry (i, j) is about t^|i-j|, down to 1e-78 on P40 at
+    # t = 1e-2; each entry must keep its own relative accuracy.
+    for n, t in ((12, 1e-3), (40, 1e-2)):
+        P = np.diag(np.ones(n - 1), 1)
+        P = P + P.T
+        R = np.asarray(walk_weight_matrix(P, t))
+        np.testing.assert_allclose(R, _series(P, t), rtol=1e-12, atol=0)
 
 
 def test_walk_weight_matrix_diverges_at_rho(p4):
     A = as_adjacency(p4)
     rho = perron(A).rho
-    with pytest.raises(DivergenceError):
-        walk_weight_matrix(A, 1.0 / rho)
-    with pytest.raises(DivergenceError):
-        walk_weight_matrix(A, 0.0)
+    # At 1/rho the factorization may succeed with a condition near 1e16,
+    # just inside it the condition guard fires, and beyond it I - tA is
+    # not positive definite: all three are divergence.
+    for t in (1.0 / rho, (1.0 - 1e-15) / rho, 1.5 / rho, 0.0):
+        with pytest.raises(DivergenceError):
+            walk_weight_matrix(A, t)
+    # The Cholesky solve reads one triangle, so bad bare matrices must be
+    # rejected before it.
+    nonsymmetric = np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    negative = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, 1.0], [-1.0, 1.0, 0.0]])
+    for M in (nonsymmetric, negative):
+        with pytest.raises(GraphInputError):
+            walk_weight_matrix(M, 0.1)
 
 
 def test_proximity_to_distance_by_hand():
@@ -132,6 +152,14 @@ def test_forest_proximity_rows_sum_to_one(multi5):
         Q = np.linalg.inv(np.eye(multi5.n) + alpha * L)
         assert np.allclose(Q.sum(axis=1), 1.0)
         assert (Q > 0).all()
+
+
+def test_forest_condition_guard(p4):
+    # I + alpha*L is positive definite for every alpha, but at 1e15 its
+    # condition is past CONDITION_LIMIT
+    for fn in (forest_distance, log_forest_distance):
+        with pytest.raises(IllConditionedError):
+            fn(p4, 1e15)
 
 
 def test_log_forest_proximity_definition(multi5):
