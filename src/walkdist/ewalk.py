@@ -13,9 +13,9 @@ alpha -> infinity limit is a "long" distance that, for the right
 theta_infinity, coincides exactly with the long-walk distance.
 
 Small alpha makes the transformed weights underflow float64 (exp(-1000)
-is zero); the proximity solve is then retried as an extended-precision
-Neumann series, which is cheap precisely in that regime because the
-transformed weights are minuscule.
+is zero); the proximity solve is then retried in extended precision by
+elimination without pivoting, which keeps the tiny entries of the inverse
+accurate because I - A(alpha) is a diagonally dominant M-matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, GraphInputError, NumericalError
+from .errors import GraphInputError, NumericalError
 from .graph import (WeightedMultigraph, _labels_of, _require_usable, as_adjacency,
                     map_edge_weights, require_connected)
 from .limits import (SweepPoint, _long_walk_form, _minor_solve_sums, _spectral, limit_sweep,
@@ -49,7 +49,6 @@ __all__ = [
 # entries this small (or nonpositive): such values carry no usable
 # precision for the logarithm.
 UNDERFLOW_FLOOR = 1e-250
-MAX_NEUMANN_TERMS = 100_000
 
 
 @dataclass(frozen=True)
@@ -101,10 +100,6 @@ def indicator_matrix(A) -> np.ndarray:
     return (M != 0).astype(float)
 
 
-def _transformed_weight(w: float, rho: float, alpha: float) -> float:
-    return (w / rho) * float(np.exp(-1.0 / (alpha * w)))
-
-
 def epsilon_transform(g: WeightedMultigraph, alpha: float) -> WeightedMultigraph:
     """Graph with every edge weight mapped through w -> (w/rho)e^(-1/(alpha w)).
 
@@ -119,7 +114,7 @@ def epsilon_transform(g: WeightedMultigraph, alpha: float) -> WeightedMultigraph
     _require_positive(alpha)
     require_connected(g)
     rho = perron(as_adjacency(g)).rho
-    return map_edge_weights(g, lambda e: _transformed_weight(e.weight, rho, alpha))
+    return map_edge_weights(g, lambda e: e.weight / rho * float(np.exp(-1.0 / (alpha * e.weight))))
 
 
 def epsilon_weight_matrix(g, alpha: float, dtype=np.float64) -> np.ndarray:
@@ -135,8 +130,12 @@ def epsilon_weight_matrix(g, alpha: float, dtype=np.float64) -> np.ndarray:
     """
     _require_positive(alpha)
     M = as_adjacency(g)
-    rho = dtype(perron(M).rho)
-    a = dtype(alpha)
+    return _epsilon_weights(g, M, perron(M).rho, alpha, dtype)
+
+
+def _epsilon_weights(g, M: np.ndarray, rho: float, alpha: float, dtype) -> np.ndarray:
+    """epsilon_weight_matrix for the adjacency M of g and its Perron root rho."""
+    rho, a = dtype(rho), dtype(alpha)
     n = M.shape[0]
     with np.errstate(under="ignore"):
         if isinstance(g, WeightedMultigraph):
@@ -191,32 +190,31 @@ def _log_proximity_float64(W: np.ndarray) -> np.ndarray | None:
 
 
 def _log_proximity_longdouble(Wld: np.ndarray) -> np.ndarray:
-    """log((I - W)^(-1)) via a Neumann series in extended precision.
+    """log((I - W)^(-1)) by elimination without pivoting in extended precision.
 
-    Used when float64 underflowed, which only happens for tiny
-    transformed weights; the series then converges in roughly
-    n + a few terms. LAPACK has no extended-precision solvers, hence the
-    explicit series.
+    Used when float64 underflowed; LAPACK has no extended-precision
+    solvers. With W >= 0 and every row sum below 1, I - W is a strictly
+    diagonally dominant M-matrix: every pivot is positive, and every
+    update of the trailing block and of the inverse adds terms of one
+    sign, so the tiny entries of the inverse keep their relative accuracy.
     """
     n = Wld.shape[0]
     W = np.asarray(Wld, dtype=np.longdouble)
     row_sum = float(W.sum(axis=1).max())
     if row_sum >= 1.0:
         raise NumericalError(
-            f"transformed weight matrix has row sums up to {row_sum}; series diverges"
+            f"transformed weight matrix has row sums up to {row_sum}, not below 1"
         )
+    U = np.eye(n, dtype=np.longdouble) - W
     R = np.eye(n, dtype=np.longdouble)
-    term = np.eye(n, dtype=np.longdouble)
     with np.errstate(under="ignore"):
-        for k in range(1, MAX_NEUMANN_TERMS + 1):
-            term = term @ W
-            R = R + term
-            if k >= n and np.all(term <= np.longdouble(1e-25) * R):
-                break
-        else:
-            raise ConvergenceError(
-                f"walk-weight series did not settle in {MAX_NEUMANN_TERMS} terms"
-            )
+        for k in range(n - 1):  # forward: U upper triangular, R = L^(-1)
+            f = U[k + 1:, k] / U[k, k]
+            U[k + 1:, k + 1:] -= np.outer(f, U[k, k + 1:])
+            R[k + 1:, :k + 1] -= np.outer(f, R[k, :k + 1])
+        for k in range(n - 1, -1, -1):  # back substitution: R = U^(-1) L^(-1)
+            R[k] /= U[k, k]
+            R[:k] -= np.outer(U[:k, k], R[k])
         if (R <= 0).any():
             raise NumericalError(
                 "transformed edge weights underflowed even extended precision; "
@@ -238,13 +236,14 @@ def ewalk_distance(g, alpha: float, schedule: ThetaSchedule | None = None) -> Di
     """
     _require_positive(alpha)
     _require_usable(g)
-    W = epsilon_weight_matrix(g, alpha)
+    M = as_adjacency(g)
+    sd = perron(M)
     if schedule is None:
-        schedule = theta_schedule_for(g)
+        schedule = ThetaSchedule(theta_inf=_theta_infinity(M, sd, indicator_matrix(g)))
     scale = schedule(alpha) * alpha
-    logR = _log_proximity_float64(W)
+    logR = _log_proximity_float64(_epsilon_weights(g, M, sd.rho, alpha, np.float64))
     if logR is None:
-        logR = _log_proximity_longdouble(epsilon_weight_matrix(g, alpha, np.longdouble))
+        logR = _log_proximity_longdouble(_epsilon_weights(g, M, sd.rho, alpha, np.longdouble))
     return DistanceMatrix(entries=scale * _fold(logR), family="e-walk",
                           param=f"alpha={alpha!r}", labels=_labels_of(g))
 

@@ -40,22 +40,23 @@ class SpectralData:
 
 
 def _validate_input(A: np.ndarray) -> None:
-    if A.shape[0] < 2:
-        raise GraphInputError("need a matrix of order >= 2")
-    if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(A).max())):
-        raise GraphInputError("matrix must be symmetric")
-    if (A < 0).any():
-        raise GraphInputError("matrix must be nonnegative")
-    # Connectivity of the support pattern stands in for irreducibility.
     n = A.shape[0]
-    seen = {0}
-    stack = [0]
+    if n < 2:
+        raise GraphInputError("need a matrix of order >= 2")
+    if not (np.isfinite(A).all() and (A >= 0).all()):
+        raise GraphInputError("matrix entries must be finite and nonnegative")
+    if np.abs(A - A.T).max() > 1e-12 * max(1.0, A.max()):
+        raise GraphInputError("matrix must be symmetric")
+    # Connectivity of the support pattern stands in for irreducibility.
+    rows, cols = np.nonzero(A)
+    start, cols = np.searchsorted(rows, np.arange(n + 1)).tolist(), cols.tolist()
+    seen, stack = {0}, [0]
     while stack:
         v = stack.pop()
-        for u in np.nonzero(A[v])[0]:
+        for u in cols[start[v]:start[v + 1]]:
             if u not in seen:
-                seen.add(int(u))
-                stack.append(int(u))
+                seen.add(u)
+                stack.append(u)
     if len(seen) != n:
         raise DisconnectedGraphError(
             "adjacency pattern is reducible (graph disconnected); Perron vector undefined"

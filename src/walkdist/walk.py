@@ -53,8 +53,8 @@ CONDITION_LIMIT = 1e14
 
 
 def _require_positive(value: float, name: str = "alpha") -> None:
-    if value <= 0:
-        raise GraphInputError(f"{name} must be positive, got {value!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise GraphInputError(f"{name} must be finite and positive, got {value!r}")
 
 
 def walk_scale(alpha: float, n: int) -> float:

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,17 @@ def test_walk_underflow_is_a_numerical_failure(tmp_path, capsys):
     assert sorted(rows) == [1e-4, 1e-3, 1e-2, 1e-1]
     assert rows[1e-4][3].startswith("NumericalError")
     assert all(rows[a][3] == "" for a in (1e-3, 1e-2, 1e-1))
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+@pytest.mark.parametrize("metric", ["walk", "forest", "e-walk"])
+def test_dist_rejects_nonfinite_alpha(metric, alpha, capsys):
+    # a non-finite parameter is bad input (exit 2), not a numerical failure
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["dist", "--metric", metric, "--alpha", alpha]) == 2
+    assert caught == []
+    assert "finite and positive" in capsys.readouterr().err
 
 
 def test_sweep_rejects_bad_alphas():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import random_multigraph
 
 from walkdist import (
     GraphInputError,
@@ -18,7 +19,27 @@ from walkdist import (
     theta_schedule_for,
     weighted_shortest_path_matrix,
 )
-from walkdist.ewalk import epsilon_weight_matrix, indicator_matrix, long_ewalk_via_minors
+from walkdist.ewalk import (_log_proximity_float64, _log_proximity_longdouble,
+                            epsilon_weight_matrix, indicator_matrix, long_ewalk_via_minors)
+
+
+def neumann_proximity(W):
+    """(I - W)^(-1) as the series sum_k W^k in extended precision (oracle, O(n^4)).
+
+    Summed until at least n terms are in and the last term is below
+    1e-25 of the sum in every entry.
+    """
+    W = np.asarray(W, dtype=np.longdouble)
+    n = W.shape[0]
+    R = np.eye(n, dtype=np.longdouble)
+    term = np.eye(n, dtype=np.longdouble)
+    with np.errstate(under="ignore"):
+        for k in range(1, 10_000):
+            term = term @ W
+            R = R + term
+            if k >= n and np.all(term <= np.longdouble(1e-25) * R):
+                return R
+    raise AssertionError("Neumann series did not settle")
 
 
 def test_epsilon_transform_per_edge(multi5):
@@ -121,6 +142,31 @@ def test_ewalk_small_alpha_approaches_weighted_shortest_path(p4):
     ref = np.asarray(weighted_shortest_path_matrix(p4))
     D = np.asarray(ewalk_distance(p4, 1e-3))
     assert np.abs(D - ref).max() <= 1e-3 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("alpha", [1e-2, 1e-3])
+@pytest.mark.parametrize("graph", ["P60", "rand80"])
+def test_longdouble_elimination_matches_neumann_series(graph, alpha):
+    g = (path_graph(60) if graph == "P60"
+         else random_multigraph(np.random.default_rng(0), 80, extra_edges=40))
+    # float64 underflows on these inputs, so ewalk_distance takes the fallback
+    assert _log_proximity_float64(epsilon_weight_matrix(g, alpha)) is None
+    W = epsilon_weight_matrix(g, alpha, np.longdouble)
+    R = neumann_proximity(W)
+    if (R <= 0).any():
+        # entries below the longdouble range: both paths must give up
+        with pytest.raises(NumericalError):
+            _log_proximity_longdouble(W)
+        return
+    with np.errstate(under="ignore"):
+        expect = np.log(R).astype(np.float64)
+    np.testing.assert_allclose(_log_proximity_longdouble(W), expect, rtol=1e-12, atol=0)
+
+
+def test_longdouble_elimination_rejects_row_sum_one():
+    W = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.longdouble)  # I - W singular
+    with pytest.raises(NumericalError):
+        _log_proximity_longdouble(W)
 
 
 def test_ewalk_underflow_raises(p4):

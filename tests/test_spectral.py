@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from walkdist import (
+    DisconnectedGraphError,
     GraphInputError,
     as_adjacency,
     cycle_graph,
@@ -53,6 +54,20 @@ def test_perron_rejects_bad_input():
         perron(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     with pytest.raises(GraphInputError):
         perron(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(GraphInputError):
+            perron(np.array([[0.0, bad], [bad, 0.0]]))
+
+
+def test_perron_rejects_bare_block_diagonal_matrix():
+    # two components: reducible, so the Perron vector is not unique
+    A = np.zeros((5, 5))
+    A[0, 1] = A[1, 0] = 1.0
+    A[2, 3] = A[3, 2] = A[3, 4] = A[4, 3] = 2.0
+    with pytest.raises(DisconnectedGraphError):
+        perron(A)
+    A[1, 2] = A[2, 1] = 0.5  # now connected
+    assert (perron(A).p > 0).all()
 
 
 def test_submatrix_radius_strictly_smaller(p4, c4, multi5):
