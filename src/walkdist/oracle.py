@@ -1,25 +1,28 @@
 """Brute-force walk enumeration and property-checking oracles.
 
 Everything here is deliberately naive. Walks are enumerated one by one
-by depth-first search over edge identities (so parallel edges count
-separately and a loop is a single traversal choice), weights are summed
-in plain Python loops, and property checks scan every triple. The point
-is to validate the closed-form linear algebra against computations that
-are simple enough to be obviously faithful to the definitions.
+over edge identities (so parallel edges count separately and a loop is
+a single traversal choice), layer by layer: every walk is one array row
+that is extended by each edge leaving its endpoint, and each walk's
+weight is multiplied edge by edge in walk order. Walks are never merged
+by endpoint, so the sums stay independent of the matrix powers they
+check. Property checks scan every triple. The point is to validate the
+closed-form linear algebra against computations that are simple enough
+to be obviously faithful to the definitions.
 
 Truncated sums come with explicit geometric tail bounds, so "oracle
 agrees with closed form" always means "within the truncation bound",
 never "equals a number we happened to compute".
 
 Budget guards keep the exponential enumeration honest: counts are
-estimated from edge-multiplicity matrix powers before any DFS starts,
-and an EnumerationBudgetError is raised instead of hanging.
+estimated from edge-multiplicity matrix powers before any walk is
+built, and an EnumerationBudgetError is raised instead of hanging.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -50,6 +53,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10_000_000
+SLICE_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -135,23 +139,24 @@ def _count_matrix(g: WeightedMultigraph) -> np.ndarray:
     return C
 
 
-def _estimate_walk_count(g: WeightedMultigraph, source: int, K: int) -> float:
+def _cumulative_walk_counts(g: WeightedMultigraph, source: int, K: int) -> np.ndarray:
+    """Number of walks from source of length <= k, for k = 0..K."""
     C = _count_matrix(g)
     row = np.zeros(len(g.labels))
     row[source] = 1.0
-    total = 1.0
-    for _ in range(K):
+    counts = np.ones(K + 1)
+    for k in range(1, K + 1):
         row = row @ C
-        total += row.sum()
-    return float(total)
+        counts[k] = row.sum()
+    return np.cumsum(counts)
 
 
 def _check_budget(g: WeightedMultigraph, source: int, K: int, budget: int) -> None:
-    estimate = _estimate_walk_count(g, source, K)
+    estimate = _cumulative_walk_counts(g, source, K)[-1]
     if estimate > budget:
         raise EnumerationBudgetError(
             f"about {estimate:.2e} walks of length <= {K} from vertex {source}; "
-            f"budget is {budget:.0e}"
+            f"budget is {budget:,}"
         )
 
 
@@ -159,11 +164,9 @@ def max_enumeration_depth(g, source, budget: int = DEFAULT_BUDGET,
                           hard_cap: int = 60) -> int:
     """Largest K whose estimated walk count from source fits the budget."""
     mg = _as_multigraph(g)
-    src = mg.position(source)
-    K = 0
-    while K < hard_cap and _estimate_walk_count(mg, src, K + 1) <= budget:
-        K += 1
-    return K
+    counts = _cumulative_walk_counts(mg, mg.position(source), hard_cap)
+    # cumulative counts never decrease, so the lengths that fit are 1..K
+    return int(np.count_nonzero(counts[1:] <= budget))
 
 
 def iter_walks(g, source, K: int, budget: int = DEFAULT_BUDGET) -> Iterator[WalkRecord]:
@@ -171,7 +174,7 @@ def iter_walks(g, source, K: int, budget: int = DEFAULT_BUDGET) -> Iterator[Walk
 
     Depth-first, so each walk of length < K is followed by its one-edge
     extensions. Exists for definitional tests; the summing oracles below
-    use the same traversal without building records.
+    enumerate the same walks layer by layer without building records.
     """
     mg = _as_multigraph(g)
     src = mg.position(source)
@@ -193,29 +196,76 @@ def iter_walks(g, source, K: int, budget: int = DEFAULT_BUDGET) -> Iterator[Walk
     yield from dfs(src, [src], [], 1.0, 0.0)
 
 
+def _grow_walks(mg: WeightedMultigraph, start: int, K: int,
+                visit: Callable[[int, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+                mark: int = -1) -> None:
+    """Enumerate the walks from start of length <= K, layer by layer.
+
+    Each walk is one row: its endpoint, its weight, and whether it has
+    visited `mark`. visit(k, v, wt, flag) sees rows of length-k walks,
+    bins them, and returns the mask of rows to extend by one more edge
+    (ignored at k == K). The edges leaving each vertex come in
+    _adjacency_lists order, so a row's weight is the same product, in
+    the same order, that a depth-first search would form. A layer is
+    extended SLICE_ROWS rows at a time, depth first, which bounds memory
+    by K * SLICE_ROWS * (max degree) rows however many walks there are.
+    """
+    nbrs = _adjacency_lists(mg)
+    offsets = np.cumsum([0] + [len(opts) for opts in nbrs])
+    heads = np.array([u for opts in nbrs for (u, _, _) in opts], dtype=np.intp)
+    weights = np.array([w for opts in nbrs for (_, w, _) in opts], dtype=float)
+    stack = [(0, np.array([start]), np.ones(1), np.array([start == mark]))]
+    while stack:
+        k, v, wt, flag = stack.pop()
+        grow = visit(k, v, wt, flag)
+        if k == K:
+            continue
+        v, wt, flag = v[grow], wt[grow], flag[grow]
+        degree = offsets[v + 1] - offsets[v]
+        parent = np.repeat(np.arange(v.size), degree)
+        # a child's edge slot is its parent's first slot plus its rank
+        # among its siblings, which is its row minus the parent's first row
+        shift = offsets[v] - (np.cumsum(degree) - degree)
+        edge = shift[parent] + np.arange(parent.size)
+        v = heads[edge]
+        wt = wt[parent] * weights[edge]
+        flag = flag[parent] | (v == mark)
+        for lo in reversed(range(0, v.size, SLICE_ROWS)):
+            hi = lo + SLICE_ROWS
+            stack.append((k + 1, v[lo:hi], wt[lo:hi], flag[lo:hi]))
+
+
+def _walk_bins(mg: WeightedMultigraph, start: int, K: int, avoid: int = -1) -> np.ndarray:
+    """Weights of the walks from start that never step onto `avoid`,
+    binned (endpoint, length) into an (n, K+1) array.
+
+    With avoid == start, read backward, these are the hitting walks into
+    start from every source, binned (source, length): edge weights do
+    not care about direction.
+    """
+    out = np.zeros((len(mg.labels), K + 1))
+
+    def visit(k, v, wt, flag):
+        keep = (v != avoid) | (k == 0)
+        out[:, k] += np.bincount(v[keep], wt[keep], minlength=out.shape[0])
+        return keep
+
+    _grow_walks(mg, start, K, visit)
+    return out
+
+
 def walk_weights_by_length(g, source, K: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Total walk weight from source, binned by (endpoint, length).
 
     Returns an (n, K+1) array whose [j, k] entry sums the weights of all
     length-k walks source -> j. Column 0 is the trivial walk indicator.
-    Must agree with walk_weights_by_powers to rounding; the DFS is the
-    definition, the powers are the linear algebra.
+    Must agree with walk_weights_by_powers to rounding; the enumeration
+    is the definition, the powers are the linear algebra.
     """
     mg = _as_multigraph(g)
     src = mg.position(source)
     _check_budget(mg, src, K, budget)
-    nbrs = _adjacency_lists(mg)
-    out = np.zeros((len(mg.labels), K + 1))
-
-    def dfs(v, k, weight):
-        out[v, k] += weight
-        if k == K:
-            return
-        for (u, w, _) in nbrs[v]:
-            dfs(u, k + 1, weight * w)
-
-    dfs(src, 0, 1.0)
-    return out
+    return _walk_bins(mg, src, K)
 
 
 def walk_weights_by_powers(g, source, K: int) -> np.ndarray:
@@ -240,22 +290,14 @@ def hitting_weights_by_length(g, i, j, K: int, budget: int = DEFAULT_BUDGET) -> 
     mg = _as_multigraph(g)
     src, tgt = mg.position(i), mg.position(j)
     _check_budget(mg, src, K, budget)
-    nbrs = _adjacency_lists(mg)
     out = np.zeros(K + 1)
-    if src == tgt:
-        out[0] = 1.0
-        return out
 
-    def dfs(v, k, weight):
-        if v == tgt:
-            out[k] += weight
-            return
-        if k == K:
-            return
-        for (u, w, _) in nbrs[v]:
-            dfs(u, k + 1, weight * w)
+    def visit(k, v, wt, flag):
+        hit = v == tgt
+        out[k] += wt[hit].sum()
+        return ~hit
 
-    dfs(src, 0, 1.0)
+    _grow_walks(mg, src, K, visit)
     return out
 
 
@@ -274,21 +316,16 @@ def commute_cycle_weights_by_length(g, i, j, K: int,
     if vi == vj:
         raise GraphInputError("commute cycles need two distinct vertices")
     _check_budget(mg, vi, K, budget)
-    nbrs = _adjacency_lists(mg)
     out = np.zeros(K + 1)
 
-    def dfs(v, k, weight, seen_j):
-        if k > 0 and v == vi and seen_j:
-            # First return to i after j has been seen: the cycle ends
-            # here by definition, so do not extend further.
-            out[k] += weight
-            return
-        if k == K:
-            return
-        for (u, w, _) in nbrs[v]:
-            dfs(u, k + 1, weight * w, seen_j or u == vj)
+    def visit(k, v, wt, seen_j):
+        # The first return to i after j has been seen ends the cycle by
+        # definition, so it is not extended further.
+        done = seen_j & (v == vi)
+        out[k] += wt[done].sum()
+        return ~done
 
-    dfs(vi, 0, 1.0, False)
+    _grow_walks(mg, vi, K, visit, mark=vj)
     return out
 
 
@@ -315,7 +352,7 @@ def enumerate_walk_weight(g, t: float, i, j, K: int,
                           budget: int = DEFAULT_BUDGET) -> tuple[float, TruncationBound]:
     """Truncated t-discounted walk weight from i to j, with tail bound.
 
-    Sums t^k * (weight of length-k walks) for k <= K by explicit DFS
+    Sums t^k * (weight of length-k walks) for k <= K by enumeration
     when the walk count fits the budget (cross-checked against matrix
     powers) and by matrix powers alone otherwise. The tail bound
     n * (t*rho)^(K+1) / (1 - t*rho) dominates the dropped terms, so the
@@ -402,54 +439,6 @@ def enumerate_commute_cycle_weight(g, t: float, i, j, K: int,
     return _discount(bins, t), TruncationBound(K=K, tail=tail)
 
 
-def _avoiding_walk_bins(mg: WeightedMultigraph, start: int, avoid: int, K: int,
-                        budget: int) -> np.ndarray:
-    """Weights of walks from start that never touch `avoid`, binned
-    (endpoint, length). start == avoid gives all zeros except nothing."""
-    nbrs = _adjacency_lists(mg)
-    n = len(mg.labels)
-    out = np.zeros((n, K + 1))
-    if start == avoid:
-        return out
-    _check_budget(mg, start, K, budget)
-
-    def dfs(v, k, weight):
-        out[v, k] += weight
-        if k == K:
-            return
-        for (u, w, _) in nbrs[v]:
-            if u != avoid:
-                dfs(u, k + 1, weight * w)
-
-    dfs(start, 0, 1.0)
-    return out
-
-
-def _hitting_bins_all_sources(mg: WeightedMultigraph, target: int, K: int,
-                              budget: int) -> np.ndarray:
-    """Hitting-walk weights k -> target for every source k, binned
-    (source, length). Enumerated in reverse: a hitting walk read backward
-    is a walk from the target that never revisits it, and edge weights do
-    not care about direction."""
-    _check_budget(mg, target, K, budget)
-    nbrs = _adjacency_lists(mg)
-    n = len(mg.labels)
-    out = np.zeros((n, K + 1))
-    out[target, 0] = 1.0
-
-    def dfs(v, k, weight):
-        if v != target:
-            out[v, k] += weight
-        if k == K:
-            return
-        for (u, w, _) in nbrs[v]:
-            if u != target:
-                dfs(u, k + 1, weight * w)
-
-    dfs(target, 0, 1.0)
-    return out
-
-
 def enumerate_avoiding_cycles(g, i, j, K: int, jump: bool = False,
                               budget: int = DEFAULT_BUDGET) -> tuple[float, TruncationBound]:
     """Truncated weight of cycles at i avoiding j, evaluated at t = 1/rho.
@@ -473,9 +462,9 @@ def enumerate_avoiding_cycles(g, i, j, K: int, jump: bool = False,
     vi, vj = mg.position(i), mg.position(j)
     if vi == vj:
         raise GraphInputError("avoiding cycles need two distinct vertices")
-    half = max(budget // 2, 1)
-    w1_bins = _avoiding_walk_bins(mg, vi, vj, K, half)
-    w2_bins = _hitting_bins_all_sources(mg, vi, K, half)
+    _check_budget(mg, vi, K, max(budget // 2, 1))
+    w1_bins = _walk_bins(mg, vi, K, avoid=vj)
+    w2_bins = _walk_bins(mg, vi, K, avoid=vi)
     leg1 = np.array([_discount(w1_bins[k], t) for k in range(n)])
     leg2 = np.array([_discount(w2_bins[k], t) for k in range(n)])
 

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import random_multigraph
+from numpy.testing import assert_allclose
 
 from walkdist import (
     EnumerationBudgetError,
@@ -33,6 +37,7 @@ from walkdist import (
     walk_weights_by_powers,
 )
 from walkdist.oracle import (
+    _walk_bins,
     commute_cycle_weights_by_length,
     hitting_weights_by_length,
     max_enumeration_depth,
@@ -110,6 +115,52 @@ def test_hitting_trivial_walk_at_target(multi5):
     assert np.all(bins[1:] == 0.0)
 
 
+@pytest.mark.parametrize("name", ["multi5", "random6"])
+def test_every_rule_matches_the_walk_definition(name, multi5):
+    # each binning rule against the explicit walk records it filters
+    g = multi5 if name == "multi5" else random_multigraph(
+        np.random.default_rng(0), 6, extra_edges=3)
+    n, K = g.n, 6
+    walks = [list(iter_walks(g, s, K)) for s in range(n)]
+
+    def binned(records, at=-1):
+        out = np.zeros((n, K + 1))
+        for w in records:
+            out[w.vertices[at], w.length] += w.weight
+        return out
+
+    def hitting(records, j):
+        return [w for w in records if w.vertices[-1] == j and j not in w.vertices[:-1]]
+
+    for i in range(n):
+        assert_allclose(walk_weights_by_length(g, i, K), binned(walks[i]), rtol=1e-12)
+        into_i = hitting([w for ws in walks for w in ws], i)
+        assert_allclose(_walk_bins(g, i, K, avoid=i), binned(into_i, at=0), rtol=1e-12)
+        for j in range(n):
+            assert_allclose(hitting_weights_by_length(g, i, j, K),
+                            binned(hitting(walks[i], j))[j], rtol=1e-12)
+            if j == i:
+                continue
+            avoiding = [w for w in walks[i] if j not in w.vertices]
+            assert_allclose(_walk_bins(g, i, K, avoid=j), binned(avoiding), rtol=1e-12)
+            commute = [w for w in walks[i] if w.vertices[-1] == i and j in w.vertices
+                       and i not in w.vertices[w.vertices.index(j):-1]]
+            assert_allclose(commute_cycle_weights_by_length(g, i, j, K),
+                            binned(commute)[i], rtol=1e-12)
+
+
+def test_enumeration_memory_stays_bounded(multi5):
+    # 7.3M walks from b: extending a whole layer at once allocates ~250 MB
+    tracemalloc.start()
+    try:
+        bins = walk_weights_by_length(multi5, "b", 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert_allclose(bins, walk_weights_by_powers(multi5, "b", 14), rtol=1e-12)
+
+
 def test_enumerate_walk_weight_brackets_resolvent(p4, multi5):
     for g in (p4, multi5):
         A = as_adjacency(g)
@@ -166,12 +217,24 @@ def test_jump_cycles_recover_long_ewalk(p4, multi5):
         assert abs(est - D[g.position(i), g.position(j)]) <= tail
 
 
-def test_budget_guard(multi5):
+def test_budget_guard(multi5, p4):
     with pytest.raises(EnumerationBudgetError):
         walk_weights_by_length(multi5, 0, 30, budget=100)
     depth = max_enumeration_depth(multi5, 0, budget=100)
     assert 0 < depth < 30
     assert max_enumeration_depth(multi5, 0, budget=10_000) > depth
+    for g in (multi5, p4):
+        for budget in (100, 10_000, 200_000):
+            depth = max_enumeration_depth(g, 0, budget=budget)
+            walk_weights_by_length(g, 0, depth, budget=budget)
+            with pytest.raises(EnumerationBudgetError):
+                walk_weights_by_length(g, 0, depth + 1, budget=budget)
+
+
+def test_budget_message_prints_the_budget_exactly(multi5):
+    # about 1.9e5 walks; a budget printed as 2e+05 reads as not exceeded
+    with pytest.raises(EnumerationBudgetError, match="budget is 150,000"):
+        walk_weights_by_length(multi5, "a", 11, budget=150_000)
 
 
 def test_check_metric_passes_and_fails(p4):
