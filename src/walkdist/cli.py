@@ -29,17 +29,10 @@ import numpy as np
 
 from . import __version__, ewalk, limits, transforms, verify, walk
 from .errors import GraphInputError, NumericalError
+# perron and as_adjacency stay importable here: bench/tracing.py wraps them in this module
 from .graph import (WeightedMultigraph, as_adjacency, parse_edge_list,
                     path_graph, require_connected)
 from .spectral import perron
-
-METRICS = (
-    "shortest-path", "weighted-shortest-path", "walk", "plain-walk",
-    "forest", "log-forest", "e-walk", "long-walk", "long-ewalk", "resistance",
-)
-
-PARAMETRIC = {"walk", "plain-walk", "forest", "log-forest", "e-walk"}
-T_CAPABLE = {"walk", "plain-walk"}
 
 FLOAT_FMT = "%.17g"
 
@@ -110,7 +103,7 @@ def format_matrix_json(labels, matrix, meta: dict) -> str:
     M = np.asarray(matrix, dtype=float)
     doc = {
         "labels": list(labels),
-        "matrix": [[float(x) for x in row] for row in M],
+        "matrix": M.tolist(),
         "meta": {k: meta.get(k) for k in ("rho", "alpha", "t", "theta", "metric")},
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -187,57 +180,26 @@ def _parse_pairs(spec: str, g: WeightedMultigraph) -> list[tuple[str, str]]:
     return pairs
 
 
-def _compute_metric(g: WeightedMultigraph, args) -> tuple[np.ndarray, dict]:
-    """Dispatch one metric family; returns (matrix, metadata)."""
-    metric = args.metric
-    A = as_adjacency(g)
-    n = A.shape[0]
-    rho = perron(A).rho
-    meta: dict = {"metric": metric, "n": n, "rho": rho,
-                  "alpha": None, "t": None, "theta": None}
-
+def _compute_metric(g: walk._PreparedGraph, args) -> tuple[np.ndarray, dict]:
+    """Evaluate one metric family; returns (matrix, metadata)."""
+    metric = verify._METRICS[args.metric]
     if args.t is not None and args.alpha is not None:
         raise GraphInputError("--alpha and --t are mutually exclusive")
-    if args.t is not None and metric not in T_CAPABLE:
-        raise GraphInputError(f"--t applies only to {sorted(T_CAPABLE)}")
-    if args.alpha is not None and metric not in PARAMETRIC:
-        raise GraphInputError(f"--alpha does not apply to metric {metric!r}")
+    if args.t is not None and not metric.t_capable:
+        t_capable = sorted(name for name, m in verify._METRICS.items() if m.t_capable)
+        raise GraphInputError(f"--t applies only to {t_capable}")
+    if args.alpha is not None and not metric.parametric:
+        raise GraphInputError(f"--alpha does not apply to metric {args.metric!r}")
 
-    alpha = args.alpha if args.alpha is not None else 1.0
-
-    if metric == "shortest-path":
-        D = limits.shortest_path_matrix(g)
-    elif metric == "weighted-shortest-path":
-        D = limits.weighted_shortest_path_matrix(g)
-    elif metric in ("walk", "plain-walk"):
-        if args.t is not None:
-            point = walk.ParamPoint.from_t(rho, args.t, n)
-        else:
-            point = walk.ParamPoint.from_alpha(rho, alpha, n)
-        fn = walk.walk_distance if metric == "walk" else walk.plain_walk_distance
-        D = fn(g, point.alpha)
-        meta.update(alpha=point.alpha, t=point.t,
-                    theta=point.theta if metric == "walk" else None)
-    elif metric == "forest":
-        D = walk.forest_distance(g, alpha)
-        meta.update(alpha=alpha)
-    elif metric == "log-forest":
-        D = walk.log_forest_distance(g, alpha)
-        meta.update(alpha=alpha, theta=walk.walk_scale(alpha, n))
-    elif metric == "e-walk":
-        schedule = ewalk.theta_schedule_for(g, beta=args.beta)
-        D = ewalk.ewalk_distance(g, alpha, schedule)
-        meta.update(alpha=alpha, theta=schedule(alpha))
-    elif metric == "long-walk":
-        D = limits.long_walk_distance(g)
-        meta.update(theta=ewalk.theta_infinity(g))
-    elif metric == "long-ewalk":
-        D = ewalk.long_ewalk_distance(g)
-        meta.update(theta=ewalk.theta_infinity(g))
-    elif metric == "resistance":
-        D = limits.resistance_distance(g)
+    if args.t is not None:
+        param = walk.ParamPoint.from_t(g.sd.rho, args.t, g.n)
     else:
-        raise GraphInputError(f"unknown metric {metric!r}")
+        param = metric.param(g, args.alpha if args.alpha is not None else 1.0)
+    D, theta = metric.compute(g, param, args.beta)
+    point = isinstance(param, walk.ParamPoint)
+    meta = {"metric": args.metric, "n": g.n, "rho": g.sd.rho,
+            "alpha": param.alpha if point else param, "t": param.t if point else None,
+            "theta": theta}
     return np.asarray(D, dtype=float), meta
 
 
@@ -249,6 +211,7 @@ def cmd_dist(args) -> int:
     g = _load_graph(args.input)
     if args.m is not None:
         g = transforms.balance_graph(g, args.m).result
+    g = walk._prepare(g)
     M, meta = _compute_metric(g, args)
     if args.pairs:
         wanted = _parse_pairs(args.pairs, g)
@@ -289,12 +252,11 @@ def _p4_ratios(D) -> tuple[float, float, float]:
 
 def table_p4_values() -> list[dict]:
     """Compute every table row live on the unit path P4."""
-    g = path_graph(4)
-    A = as_adjacency(g)
+    g = walk._prepare(path_graph(4))
     computed = {
         "sp-resistance": _p4_ratios(limits.shortest_path_matrix(g)),
         "walk-1": _p4_ratios(walk.walk_distance(g, 1.0)),
-        "long-walk": _p4_ratios(limits.long_walk_distance(A)),
+        "long-walk": _p4_ratios(limits.long_walk_distance(g)),
         "log-forest-2": _p4_ratios(walk.log_forest_distance(g, 2.0)),
         "forest-1": _p4_ratios(walk.forest_distance(g, 1.0)),
         "plain-walk-4.5": _p4_ratios(walk.plain_walk_distance(g, 4.5)),
@@ -339,7 +301,7 @@ def cmd_table_p4(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = _load_graph(args.input)
+    g = walk._prepare(_load_graph(args.input))
     names = verify.suite_names() if args.suite == "all" else (args.suite,)
     reports = [verify.run_suite(name, g) for name in names]
     doc = {
@@ -364,9 +326,8 @@ SWEEP_DEFAULTS = {
 
 
 def cmd_sweep(args) -> int:
-    g = _load_graph(args.input)
-    A = as_adjacency(g)
-    n = A.shape[0]
+    g = walk._prepare(_load_graph(args.input))
+    n = g.n
     if args.alphas:
         try:
             alphas = tuple(float(a) for a in args.alphas.split(","))
@@ -378,7 +339,7 @@ def cmd_sweep(args) -> int:
     if args.metric == "walk":
         reference = (limits.shortest_path_matrix(g)
                      if args.direction == "small-alpha"
-                     else limits.long_walk_distance(A))
+                     else limits.long_walk_distance(g))
         ref_name = ("shortest-path" if args.direction == "small-alpha"
                     else "long-walk")
         points = limits.limit_sweep(walk.walk_distance, g, alphas, reference)
@@ -391,7 +352,7 @@ def cmd_sweep(args) -> int:
         thetas = [schedule(a) for a in alphas]
 
     meta = {"metric": args.metric, "direction": args.direction,
-            "reference": ref_name, "n": n, "rho": perron(A).rho}
+            "reference": ref_name, "n": n, "rho": g.sd.rho}
     lines = _meta_lines(meta)
     lines.append("alpha,deviation,theta,failure")
     for pt, theta in zip(points, thetas):
@@ -415,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dist", help="compute a distance matrix")
-    p.add_argument("--metric", required=True, choices=METRICS)
+    p.add_argument("--metric", required=True, choices=tuple(verify._METRICS))
     p.add_argument("--input", help="edge-list file (default: unit path P4)")
     p.add_argument("--alpha", type=float,
                    help="family parameter (default 1.0 where applicable)")

@@ -25,12 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GraphInputError, NumericalError
-from .graph import (WeightedMultigraph, _labels_of, _require_usable, as_adjacency,
-                    map_edge_weights, require_connected)
-from .limits import (SweepPoint, _long_walk_form, _minor_solve_sums, _spectral, limit_sweep,
+from .graph import WeightedMultigraph, _labels_of, as_adjacency, map_edge_weights, require_connected
+from .limits import (SweepPoint, _long_walk_form, _minor_solve_sums, limit_sweep,
                      weighted_shortest_path_matrix)
+# perron stays importable here: bench/tracing.py wraps it in every module that imports it
 from .spectral import SpectralData, perron
-from .walk import DistanceMatrix, _fold, _require_positive, _spd_inverse, _symmetrized
+from .walk import DistanceMatrix, _fold, _require_positive, _spd_inverse, _spectral, _symmetrized
 
 __all__ = [
     "ThetaSchedule",
@@ -86,16 +86,7 @@ def indicator_matrix(A) -> np.ndarray:
     not converge to.
     """
     if isinstance(A, WeightedMultigraph):
-        n = len(A.labels)
-        C = np.zeros((n, n))
-        for e in A.edges:
-            u, v = A.position(e.a), A.position(e.b)
-            if u == v:
-                C[u, u] += 1.0
-            else:
-                C[u, v] += 1.0
-                C[v, u] += 1.0
-        return C
+        return as_adjacency(map_edge_weights(A, lambda e: 1.0))
     M = as_adjacency(A)
     return (M != 0).astype(float)
 
@@ -113,7 +104,7 @@ def epsilon_transform(g: WeightedMultigraph, alpha: float) -> WeightedMultigraph
     """
     _require_positive(alpha)
     require_connected(g)
-    rho = perron(as_adjacency(g)).rho
+    rho = _spectral(g)[1].rho
     return map_edge_weights(g, lambda e: e.weight / rho * float(np.exp(-1.0 / (alpha * e.weight))))
 
 
@@ -129,8 +120,8 @@ def epsilon_weight_matrix(g, alpha: float, dtype=np.float64) -> np.ndarray:
     rather than upcasting an already-degraded one.
     """
     _require_positive(alpha)
-    M = as_adjacency(g)
-    return _epsilon_weights(g, M, perron(M).rho, alpha, dtype)
+    M, sd = _spectral(g)
+    return _epsilon_weights(g, M, sd.rho, alpha, dtype)
 
 
 def _epsilon_weights(g, M: np.ndarray, rho: float, alpha: float, dtype) -> np.ndarray:
@@ -164,8 +155,7 @@ def theta_infinity(A) -> float:
     itself (not its aggregated adjacency) when parallel edges exist, so
     C counts them.
     """
-    M = as_adjacency(A)
-    return _theta_infinity(M, perron(M), indicator_matrix(A))
+    return _theta_infinity(*_spectral(A), indicator_matrix(A))
 
 
 def _theta_infinity(M: np.ndarray, sd: SpectralData, counts: np.ndarray) -> float:
@@ -235,9 +225,7 @@ def ewalk_distance(g, alpha: float, schedule: ThetaSchedule | None = None) -> Di
     raises IllConditionedError if that or the condition guard fails.
     """
     _require_positive(alpha)
-    _require_usable(g)
-    M = as_adjacency(g)
-    sd = perron(M)
+    M, sd = _spectral(g)
     if schedule is None:
         schedule = ThetaSchedule(theta_inf=_theta_infinity(M, sd, indicator_matrix(g)))
     scale = schedule(alpha) * alpha
@@ -290,9 +278,10 @@ def long_ewalk_via_minors(A, theta_inf: float | None = None) -> DistanceMatrix:
               applied to (edge-count rows without j) @ p  +  symmetric term ].
     """
     M, sd = _spectral(A)
+    counts = indicator_matrix(A)
     if theta_inf is None:
-        theta_inf = theta_infinity(A)
-    S = _minor_solve_sums(sd.rho * np.eye(M.shape[0]) - M, indicator_matrix(A) @ sd.p, sd.p)
+        theta_inf = _theta_infinity(M, sd, counts)
+    S = _minor_solve_sums(sd.rho * np.eye(M.shape[0]) - M, counts @ sd.p, sd.p)
     return DistanceMatrix(entries=_symmetrized((theta_inf / 2.0) * S), family="long-ewalk",
                           param="limit", labels=_labels_of(A))
 

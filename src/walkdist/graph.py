@@ -13,7 +13,6 @@ labels, ordered by first appearance.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -118,20 +117,7 @@ class WeightedMultigraph:
 
     @cached_property
     def is_connected(self) -> bool:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for e in self.edges:
-            ia, ib = self.index[e.a], self.index[e.b]
-            adj[ia].add(ib)
-            adj[ib].add(ia)
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        return len(seen) == self.n
+        return set(_components_without(self, -1)) == {0}
 
     def position(self, vertex: str | int) -> int:
         """Resolve a vertex given as a label or as a 0-based position."""
@@ -274,24 +260,33 @@ def separates(g: WeightedMultigraph, j, i, k) -> bool:
     pj, pi, pk = g.position(j), g.position(i), g.position(k)
     if pi == pk:
         raise GraphInputError("separates() requires i != k")
-    if pj == pi or pj == pk:
-        return True
+    comp = _components_without(g, pj)
+    return comp[pi] != comp[pk]
+
+
+def _components_without(g: WeightedMultigraph, j: int) -> list[int]:
+    """comp[v] names the component of vertex v in g minus vertex j, and
+    comp[j] is -1 (j = -1 removes nothing).
+
+    So j separates i from k exactly when comp[i] != comp[k], an endpoint
+    j included. One search per j answers every pair (i, k).
+    """
     adj: list[set[int]] = [set() for _ in range(g.n)]
     for e in g.edges:
         ia, ib = g.index[e.a], g.index[e.b]
-        if pj in (ia, ib):
-            continue
         adj[ia].add(ib)
         adj[ib].add(ia)
-    seen = {pi}
-    queue = deque([pi])
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return pk not in seen
+    comp = [-1] * g.n
+    for root in range(g.n):
+        if root == j or comp[root] >= 0:
+            continue
+        comp[root], stack = root, [root]
+        while stack:
+            for u in adj[stack.pop()]:
+                if u != j and comp[u] < 0:
+                    comp[u] = root
+                    stack.append(u)
+    return comp
 
 
 def require_connected(g: WeightedMultigraph) -> None:

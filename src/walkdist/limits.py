@@ -34,8 +34,9 @@ from scipy.sparse.csgraph import shortest_path as _csgraph_shortest_path
 
 from .errors import DivergenceError, GraphInputError, NumericalError
 from .graph import WeightedMultigraph, _labels_of, _require_usable, as_adjacency, as_laplacian
+# perron stays importable here: bench/tracing.py wraps it in every module that imports it
 from .spectral import SpectralData, _vertex_position, perron, submatrix_spectral_radius
-from .walk import DistanceMatrix, _fold, _symmetrized
+from .walk import DistanceMatrix, _fold, _MatrixView, _spectral, _symmetrized
 
 __all__ = [
     "HittingWeights",
@@ -123,7 +124,7 @@ def weighted_shortest_path_matrix(g) -> DistanceMatrix:
 
 
 @dataclass(frozen=True)
-class HittingWeights:
+class HittingWeights(_MatrixView):
     """Matrix of hitting-walk weights r1[i, j] at a fixed t.
 
     r1[i, j] is the total t-discounted weight of walks from i to j whose
@@ -138,12 +139,6 @@ class HittingWeights:
     t: float
     at_spectral_radius: bool
 
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.entries, dtype=dtype)
-
-    def __getitem__(self, key):
-        return self.entries[key]
-
 
 def hitting_weight(A, t: float, i, j) -> float:
     """Weight of hitting walks from i to j at parameter t.
@@ -153,42 +148,31 @@ def hitting_weight(A, t: float, i, j) -> float:
     holds in particular at t = 1/rho(A). Returns 1.0 when i == j.
     """
     M = as_adjacency(A)
-    n = M.shape[0]
-    pi = _vertex_position(A, i, n)
-    pj = _vertex_position(A, j, n)
+    pi = _vertex_position(A, i, M.shape[0])
+    pj = _vertex_position(A, j, M.shape[0])
     if pi == pj:
         return 1.0
-    rho_minor = submatrix_spectral_radius(M, pj)
+    return float(_hitting_column(M, t, pj)[pi - (pi > pj)])
+
+
+def _hitting_column(M: np.ndarray, t: float, j: int) -> np.ndarray:
+    """r1[i, j] for every i != j, in order, from one solve without vertex j."""
+    rho_minor = submatrix_spectral_radius(M, j)
     t_max = math.inf if rho_minor == 0 else 1.0 / rho_minor
     if t <= 0 or t >= t_max:
         raise DivergenceError(
-            f"hitting-walk series diverges: t={t!r} not in (0, {t_max!r})"
-        )
-    keep = [k for k in range(n) if k != pj]
-    x = np.linalg.solve((1.0 / t) * np.eye(n - 1) - M[np.ix_(keep, keep)],
-                        M[keep, pj])
-    return float(x[keep.index(pi)])
+            f"hitting-walk series diverges at target {j}: t={t!r} not in (0, {t_max!r})")
+    keep = [k for k in range(M.shape[0]) if k != j]
+    return np.linalg.solve((1.0 / t) * np.eye(len(keep)) - M[np.ix_(keep, keep)], M[keep, j])
 
 
 def hitting_weight_matrix(A, t: float) -> HittingWeights:
     """All hitting weights r1[i, j] at parameter t (one solve per target j)."""
-    M = as_adjacency(A)
-    _require_usable(A)
+    M, sd = _spectral(A)
     n = M.shape[0]
-    sd = perron(M)
     R1 = np.ones((n, n))
     for j in range(n):
-        rho_minor = submatrix_spectral_radius(M, j)
-        t_max = math.inf if rho_minor == 0 else 1.0 / rho_minor
-        if t <= 0 or t >= t_max:
-            raise DivergenceError(
-                f"hitting-walk series diverges at target {j}: "
-                f"t={t!r} not in (0, {t_max!r})"
-            )
-        keep = [k for k in range(n) if k != j]
-        x = np.linalg.solve((1.0 / t) * np.eye(n - 1) - M[np.ix_(keep, keep)],
-                            M[keep, j])
-        R1[keep, j] = x
+        R1[np.arange(n) != j, j] = _hitting_column(M, t, j)
     return HittingWeights(entries=R1, t=t,
                           at_spectral_radius=bool(abs(t * sd.rho - 1.0) <= 1e-12))
 
@@ -211,12 +195,6 @@ def commute_cycle_matrix(A, t: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # long-walk distance: the default and its oracles
-
-
-def _spectral(A) -> tuple[np.ndarray, SpectralData]:
-    M = as_adjacency(A)
-    _require_usable(A)
-    return M, perron(M)
 
 
 def _minor_solve_sums(X: np.ndarray, b: np.ndarray, scale: np.ndarray) -> np.ndarray:

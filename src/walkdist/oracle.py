@@ -27,8 +27,11 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import EnumerationBudgetError, GraphInputError, NumericalError
-from .graph import WeightedMultigraph, as_adjacency, from_adjacency, separates
+from .graph import (WeightedMultigraph, _components_without, as_adjacency, from_adjacency,
+                    map_edge_weights)
+# perron stays importable here: bench/tracing.py wraps it in every module that imports it
 from .spectral import perron, submatrix_spectral_radius
+from .walk import _spectral
 
 __all__ = [
     "WalkRecord",
@@ -127,16 +130,7 @@ def _adjacency_lists(g: WeightedMultigraph) -> list[list[tuple[int, float, int]]
 
 def _count_matrix(g: WeightedMultigraph) -> np.ndarray:
     """Edge-multiplicity matrix: C[i, j] = number of i-j edges (loops once)."""
-    n = len(g.labels)
-    C = np.zeros((n, n))
-    for e in g.edges:
-        u, v = g.position(e.a), g.position(e.b)
-        if u == v:
-            C[u, u] += 1.0
-        else:
-            C[u, v] += 1.0
-            C[v, u] += 1.0
-    return C
+    return as_adjacency(map_edge_weights(g, lambda e: 1.0))
 
 
 def _cumulative_walk_counts(g: WeightedMultigraph, source: int, K: int) -> np.ndarray:
@@ -359,9 +353,8 @@ def enumerate_walk_weight(g, t: float, i, j, K: int,
     closed-form resolvent entry must lie within it.
     """
     mg = _as_multigraph(g)
-    A = np.asarray(as_adjacency(mg), dtype=float)
-    n = A.shape[0]
-    rho = perron(A).rho
+    A, sd = _spectral(mg)
+    n, rho = A.shape[0], sd.rho
     if t <= 0 or t * rho >= 1.0:
         raise GraphInputError(f"need 0 < t < 1/rho; got t={t!r}, rho={rho!r}")
     src, tgt = mg.position(i), mg.position(j)
@@ -455,9 +448,8 @@ def enumerate_avoiding_cycles(g, i, j, K: int, jump: bool = False,
     d = (c(i,j) + c(j,i)) / (n * rho).
     """
     mg = _as_multigraph(g)
-    A = np.asarray(as_adjacency(mg), dtype=float)
+    A, sd = _spectral(mg)
     n = A.shape[0]
-    sd = perron(A)
     t = 1.0 / sd.rho
     vi, vj = mg.position(i), mg.position(j)
     if vi == vj:
@@ -499,6 +491,16 @@ def enumerate_avoiding_cycles(g, i, j, K: int, jump: bool = False,
 
 # ---------------------------------------------------------------------------
 # property checks
+
+
+def _separation_table(g, n: int) -> list[list[int]]:
+    """comp[j] = graph._components_without(g, j): one search per vertex j
+    answers whether j separates i from k for every triple of an order-n
+    matrix."""
+    mg = _as_multigraph(g)
+    if mg.n < n:
+        raise GraphInputError(f"matrix of order {n} for a graph of {mg.n} vertices")
+    return [_components_without(mg, j) for j in range(mg.n)]
 
 
 def _as_square(D) -> np.ndarray:
@@ -548,8 +550,8 @@ def check_geodetic(D, g, eps: float = 1e-9, delta: float = 1e-6) -> CheckReport:
     claim should assert they are absent.
     """
     M = _as_square(D)
-    mg = _as_multigraph(g)
     n = M.shape[0]
+    comp = _separation_table(g, n)
     failures = []
     dead_zone = []
     checked = 0
@@ -563,7 +565,7 @@ def check_geodetic(D, g, eps: float = 1e-9, delta: float = 1e-6) -> CheckReport:
                 checked += 1
                 defect = M[i, j] + M[j, k] - M[i, k]
                 tight = abs(defect) <= eps * abs(M[i, k])
-                if separates(mg, j, i, k):
+                if comp[j][i] != comp[j][k]:
                     if not tight:
                         failures.append(
                             f"separator ({i},{j},{k}) not tight: defect {defect:.3e}"
@@ -589,11 +591,11 @@ def check_transition(S, g=None, slack: float = 1e-12, eps: float = 1e-9) -> Chec
     counts as separating).
     """
     M = _as_square(S)
-    mg = _as_multigraph(g) if g is not None else None
     n = M.shape[0]
     if (M <= 0).any():
         return CheckReport(name="transition", passed=False, checked=0,
                            failures=("matrix must be strictly positive",))
+    comp = _separation_table(g, n) if g is not None else None
     failures = []
     checked = 0
     for i in range(n):
@@ -608,12 +610,12 @@ def check_transition(S, g=None, slack: float = 1e-12, eps: float = 1e-9) -> Chec
                         f"{lhs:.12g} > {rhs:.12g}"
                     )
                     continue
-                if mg is not None:
+                if comp is not None:
                     tight = abs(lhs - rhs) <= eps * rhs
                     # For i == k the "path" is a closed walk: the trivial
                     # walk at i visits only i, so j stands on every i-i
                     # walk exactly when j is i itself.
-                    sep = (j == i) if i == k else separates(mg, j, i, k)
+                    sep = (j == i) if i == k else comp[j][i] != comp[j][k]
                     if tight != sep:
                         failures.append(
                             f"bottleneck identity mismatch at ({i},{j},{k}): "

@@ -31,7 +31,9 @@ from .graph import (
     map_edge_weights,
     require_connected,
 )
+# perron stays importable here: bench/tracing.py wraps it in every module that imports it
 from .spectral import perron
+from .walk import _spectral
 
 __all__ = [
     "BalanceGraph",
@@ -128,7 +130,7 @@ def similarity_transform(g) -> WeightedMultigraph:
     if not isinstance(g, WeightedMultigraph):
         g = from_adjacency(as_adjacency(g), getattr(g, "labels", None))
     require_connected(g)
-    sd = perron(np.asarray(build_adjacency(g)))
+    sd = _spectral(g)[1]
     pos = {label: k for k, label in enumerate(g.labels)}
     return map_edge_weights(
         g, lambda e: sd.p_prime[pos[e.a]] * sd.p_prime[pos[e.b]] * e.weight

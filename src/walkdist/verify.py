@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import ewalk, limits, oracle, transforms, walk
-from .graph import (WeightedMultigraph, as_adjacency, build_adjacency,
-                    from_adjacency, para_laplacian, require_connected)
+from .graph import WeightedMultigraph, as_adjacency, from_adjacency, para_laplacian
+# perron stays importable here: bench/tracing.py wraps it in every module that imports it
 from .spectral import perron
 
 __all__ = ["Assertion", "SuiteReport", "SUITES", "run_suite", "suite_names"]
@@ -73,10 +74,10 @@ class SuiteReport:
         }
 
 
-def _as_graph(g) -> WeightedMultigraph:
-    mg = g if isinstance(g, WeightedMultigraph) else from_adjacency(as_adjacency(g))
-    require_connected(mg)
-    return mg
+def _as_graph(g) -> walk._PreparedGraph:
+    """g as a connected multigraph with its Perron pair, computed once."""
+    return walk._prepare(g if isinstance(g, WeightedMultigraph)
+                         else from_adjacency(as_adjacency(g)))
 
 
 def _rel_dev(D, ref) -> float:
@@ -106,16 +107,16 @@ def _select_pairs(n: int) -> list[tuple[int, int]]:
 def suite_oracles(g) -> list[Assertion]:
     """Closed-form walk sums vs explicit enumeration, within tail bounds."""
     mg = _as_graph(g)
-    A = as_adjacency(mg)
+    A = mg.adjacency
     n = A.shape[0]
-    rho = perron(A).rho
+    rho = mg.sd.rho
     K = min(10, min(oracle.max_enumeration_depth(mg, i, budget=200_000)
                     for i in range(n)))
     out: list[Assertion] = []
 
     for frac in (0.3, 0.7):
         t = frac / rho
-        R = np.asarray(walk.walk_weight_matrix(A, t))
+        R = np.asarray(walk.walk_weight_matrix(mg, t))
         powers_dev = 0.0
         bound_dev = 0.0
         for i in range(n):
@@ -135,8 +136,8 @@ def suite_oracles(g) -> list[Assertion]:
             f"resolvent within truncation bound (t={frac}/rho, K={K})",
             bound_dev, 1.0))
 
-        H = limits.hitting_weight_matrix(A, t).entries
-        C = limits.commute_cycle_matrix(A, t)
+        H = limits.hitting_weight_matrix(mg, t).entries
+        C = limits.commute_cycle_matrix(mg, t)
         hit_dev = 0.0
         com_dev = 0.0
         for (i, j) in _select_pairs(n):
@@ -154,7 +155,7 @@ def suite_oracles(g) -> list[Assertion]:
             f"commute cycles within truncation bound (t={frac}/rho, K={K})",
             com_dev, 1.0))
 
-    D_lw = np.asarray(limits.long_walk_distance(A))
+    D_lw = np.asarray(limits.long_walk_distance(mg))
     D_lew = np.asarray(ewalk.long_ewalk_distance(mg))
     theta_inf = ewalk.theta_infinity(mg)
     K_av = min(30, min(oracle.max_enumeration_depth(mg, i, budget=300_000)
@@ -187,12 +188,12 @@ def suite_oracles(g) -> list[Assertion]:
 def suite_equivalences(g) -> list[Assertion]:
     """Formula agreement, transform equivalences, spectral-radius identities."""
     mg = _as_graph(g)
-    A = as_adjacency(mg)
+    A = mg.adjacency
     n = A.shape[0]
-    sd = perron(A)
+    sd = mg.sd
     out: list[Assertion] = []
 
-    lw = limits.long_walk_all_formulas(A)
+    lw = limits.long_walk_all_formulas(mg)
     names = sorted(lw)
     dev = max(_rel_dev(lw[a], lw[b]) for ai, a in enumerate(names)
               for b in names[ai + 1:])
@@ -204,25 +205,24 @@ def suite_equivalences(g) -> list[Assertion]:
               for b in names[ai + 1:])
     out.append(Assertion.check("resistance formulas agree pairwise", dev, 1e-9))
 
-    degrees = np.asarray(build_adjacency(mg)).sum(axis=1)
-    m_min = float(degrees.max())
+    m_min = float(A.sum(axis=1).max())
+    # the first is also balance_graph's default, whose m is the largest degree
+    balanced = [walk._prepare(transforms.balance_graph(mg, m).result)
+                for m in (m_min, m_min + 3.0)]
     dev = 0.0
     for alpha in (0.5, 1.0, 2.0, 5.0):
         lf = walk.log_forest_distance(mg, alpha)
-        for m in (m_min, m_min + 3.0):
-            bal = transforms.balance_graph(mg, m).result
+        for bal in balanced:
             dev = max(dev, _rel_dev(lf, walk.walk_distance(bal, alpha)))
     out.append(Assertion.check(
         "log-forest equals walk distance on the balance graph", dev, 1e-9))
 
-    bal = transforms.balance_graph(mg).result
     out.append(Assertion.check(
         "resistance equals long-walk on the balance graph",
-        _rel_dev(limits.resistance_distance(mg),
-                 limits.long_walk_distance(as_adjacency(bal))), 1e-9))
+        _rel_dev(limits.resistance_distance(mg), limits.long_walk_distance(balanced[0])), 1e-9))
 
     sim = transforms.similarity_transform(mg)
-    D_lw = limits.long_walk_distance(A)
+    D_lw = lw["ginverse"]
     out.append(Assertion.check(
         "long-walk equals resistance on the similarity-scaled graph",
         _rel_dev(D_lw, limits.resistance_distance(sim)), 1e-9))
@@ -233,14 +233,14 @@ def suite_equivalences(g) -> list[Assertion]:
             _rel_dev(ewalk.long_ewalk_via_minors(mg), D_lw)),
         1e-9))
 
-    hw = limits.hitting_weight_matrix(A, 1.0 / sd.rho)
+    hw = limits.hitting_weight_matrix(mg, 1.0 / sd.rho)
     ratio = sd.p[:, None] / sd.p[None, :]
     np.fill_diagonal(ratio, 1.0)
     out.append(Assertion.check(
         "hitting weights at the spectral radius equal Perron ratios",
         float(np.abs(hw.entries - ratio).max()), 1e-10))
 
-    C = limits.commute_cycle_matrix(A, 1.0 / sd.rho)
+    C = limits.commute_cycle_matrix(mg, 1.0 / sd.rho)
     off = ~np.eye(n, dtype=bool)
     out.append(Assertion.check(
         "commute cycle weights at the spectral radius equal one",
@@ -279,7 +279,6 @@ def _sweep_assertions(name: str, points, final_cap: float) -> list[Assertion]:
 def suite_limits(g) -> list[Assertion]:
     """Small- and large-alpha convergence of walk and e-walk distances."""
     mg = _as_graph(g)
-    A = as_adjacency(mg)
     out: list[Assertion] = []
 
     small = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -288,7 +287,7 @@ def suite_limits(g) -> list[Assertion]:
                              limits.shortest_path_matrix(mg))
     out += _sweep_assertions("walk to shortest path (alpha down)", pts, 1e-2)
     pts = limits.limit_sweep(walk.walk_distance, mg, large,
-                             limits.long_walk_distance(A))
+                             limits.long_walk_distance(mg))
     out += _sweep_assertions("walk to long-walk (alpha up)", pts, 1e-2)
 
     pts = ewalk.ewalk_limit_sweep(mg, (1e-1, 1e-2, 1e-3), "small-alpha")
@@ -303,30 +302,62 @@ def suite_limits(g) -> list[Assertion]:
 # properties
 
 
-def _metric_families(mg: WeightedMultigraph) -> dict[str, np.ndarray]:
-    A = as_adjacency(mg)
-    return {
-        "shortest-path": np.asarray(limits.shortest_path_matrix(mg)),
-        "weighted-shortest-path": np.asarray(limits.weighted_shortest_path_matrix(mg)),
-        "walk": np.asarray(walk.walk_distance(mg, 1.0)),
-        "plain-walk": np.asarray(walk.plain_walk_distance(mg, 1.0)),
-        "forest": np.asarray(walk.forest_distance(mg, 1.0)),
-        "log-forest": np.asarray(walk.log_forest_distance(mg, 2.0)),
-        "e-walk": np.asarray(ewalk.ewalk_distance(mg, 1.0)),
-        "long-walk": np.asarray(limits.long_walk_distance(A)),
-        "long-ewalk": np.asarray(ewalk.long_ewalk_distance(mg)),
-        "resistance": np.asarray(limits.resistance_distance(mg)),
-    }
+@dataclass(frozen=True)
+class _Metric:
+    """One distance family. compute(g, param, beta) gives the distances on
+    the prepared graph g and their theta scale (or None); param is a
+    walk.ParamPoint if t_capable, else alpha if parametric; beta shapes
+    the e-walk schedule. geodetic > 0 orders the family's claim in the
+    properties report."""
+
+    compute: Callable
+    parametric: bool = False
+    t_capable: bool = False
+    geodetic: int = 0
+
+    def param(self, g: walk._PreparedGraph, alpha: float):
+        """The param of compute at alpha."""
+        if self.t_capable:
+            return walk.ParamPoint.from_alpha(g.sd.rho, alpha, g.n)
+        return alpha if self.parametric else None
 
 
-GEODETIC_FAMILIES = ("walk", "e-walk", "log-forest", "long-walk", "resistance")
+def _ewalk(g, alpha: float, beta: float):
+    schedule = ewalk.theta_schedule_for(g, beta=beta)
+    return ewalk.ewalk_distance(g, alpha, schedule), schedule(alpha)
+
+
+_METRICS = {
+    "shortest-path": _Metric(lambda g, *_: (limits.shortest_path_matrix(g), None)),
+    "weighted-shortest-path": _Metric(
+        lambda g, *_: (limits.weighted_shortest_path_matrix(g), None)),
+    "walk": _Metric(lambda g, pt, _: (walk._walk_distance_at(g, pt), pt.theta),
+                    parametric=True, t_capable=True, geodetic=1),
+    "plain-walk": _Metric(lambda g, pt, _: (walk._plain_walk_distance_at(g, pt), None),
+                          parametric=True, t_capable=True),
+    "forest": _Metric(lambda g, a, _: (walk.forest_distance(g, a), None), parametric=True),
+    "log-forest": _Metric(
+        lambda g, a, _: (walk.log_forest_distance(g, a), walk.walk_scale(a, g.n)),
+        parametric=True, geodetic=3),
+    "e-walk": _Metric(_ewalk, parametric=True, geodetic=2),
+    "long-walk": _Metric(lambda g, *_: (limits.long_walk_distance(g), ewalk.theta_infinity(g)),
+                         geodetic=4),
+    "long-ewalk": _Metric(
+        lambda g, *_: (ewalk.long_ewalk_distance(g), ewalk.theta_infinity(g))),
+    "resistance": _Metric(lambda g, *_: (limits.resistance_distance(g), None), geodetic=5),
+}
+
+# the properties suite takes every parametric family at alpha = 1 but this one
+_PROPERTY_ALPHA = {"log-forest": 2.0}
 
 
 def suite_properties(g) -> list[Assertion]:
     """Metric axioms, geodetic characterization, bottleneck identity, PSD."""
     mg = _as_graph(g)
-    A = as_adjacency(mg)
-    fams = _metric_families(mg)
+    fams = {}
+    for name, m in _METRICS.items():
+        D, _ = m.compute(mg, m.param(mg, _PROPERTY_ALPHA.get(name, 1.0)), 1.0)
+        fams[name] = np.asarray(D)
     out: list[Assertion] = []
 
     for name, D in fams.items():
@@ -334,14 +365,13 @@ def suite_properties(g) -> list[Assertion]:
         out.append(Assertion.check(f"metric axioms: {name}",
                                    float(len(rep.failures)), 0.0))
 
-    for name in GEODETIC_FAMILIES:
+    for _, name in sorted((m.geodetic, name) for name, m in _METRICS.items() if m.geodetic):
         rep = oracle.check_geodetic(fams[name], mg)
         out.append(Assertion.check(
             f"geodetic iff separator: {name}",
             float(len(rep.failures) + len(rep.notes)), 0.0))
 
-    rho = perron(A).rho
-    R = np.asarray(walk.walk_weight_matrix(A, 0.8 / rho))
+    R = np.asarray(walk.walk_weight_matrix(mg, 0.8 / mg.sd.rho))
     rep = oracle.check_transition(R, mg)
     out.append(Assertion.check(
         "transition inequality and bottleneck identity: walk weights",

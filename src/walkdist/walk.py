@@ -18,7 +18,7 @@ formulas are symmetric analytically but floating-point rounding is not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -33,7 +33,7 @@ from .graph import (
     as_laplacian,
     map_edge_weights,
 )
-from .spectral import _validate_input, perron
+from .spectral import SpectralData, _validate_input, perron
 
 __all__ = [
     "ParamPoint",
@@ -173,6 +173,37 @@ def _spd_inverse(M: np.ndarray, context: str, error=IllConditionedError) -> np.n
     return inverse
 
 
+@dataclass(frozen=True)
+class _PreparedGraph(WeightedMultigraph):
+    """A connected multigraph carrying its adjacency and its Perron pair.
+
+    Every function that takes a graph accepts one and reads `sd` instead
+    of calling `perron` again, so a command computes the pair once.
+    """
+
+    adjacency: np.ndarray = field(compare=False, repr=False)
+    sd: SpectralData = field(compare=False, repr=False)
+
+
+def _prepare(g: WeightedMultigraph) -> _PreparedGraph:
+    """Validate g and compute its Perron pair, once."""
+    if isinstance(g, _PreparedGraph):
+        return g
+    M, sd = _spectral(g)
+    M.setflags(write=False)
+    return _PreparedGraph(g.labels, g.edges, M, sd)
+
+
+def _spectral(A) -> tuple[np.ndarray, SpectralData]:
+    """The adjacency of A and its Perron pair: a prepared graph's own, or
+    computed by one `perron` call."""
+    if isinstance(A, _PreparedGraph):
+        return A.adjacency, A.sd
+    M = as_adjacency(A)
+    _require_usable(A)
+    return M, perron(M)
+
+
 def walk_weight_matrix(A, t: float) -> ProximityMatrix:
     """Walk-weight resolvent R_t = (I - tA)^(-1).
 
@@ -181,9 +212,12 @@ def walk_weight_matrix(A, t: float) -> ProximityMatrix:
     where I - tA is positive definite, so the Cholesky solve checks t: a t
     at 1/rho or within rounding of it raises DivergenceError.
     """
-    M = as_adjacency(A)
-    _require_usable(A)
-    _validate_input(M)  # the Cholesky solve reads one triangle only
+    if isinstance(A, _PreparedGraph):
+        M = A.adjacency  # validated when it was prepared
+    else:
+        M = as_adjacency(A)
+        _require_usable(A)
+        _validate_input(M)  # the Cholesky solve reads one triangle only
     if t <= 0:
         raise DivergenceError(f"walk series needs t > 0, got t={t!r}")
     R = _spd_inverse(np.eye(M.shape[0]) - t * M, f"walk series at t={t!r} diverges",
@@ -218,12 +252,9 @@ def gap_distance(S, *, family: str, param=None, labels=None) -> DistanceMatrix:
                           labels=tuple(labels) if labels is not None else None)
 
 
-def _walk_resolvent(A, alpha: float) -> tuple[ParamPoint, ProximityMatrix]:
-    """The walk parameters at alpha and the resolvent R_t they select."""
-    M = as_adjacency(A)
-    _require_usable(A)
-    point = ParamPoint.from_alpha(perron(M).rho, alpha, M.shape[0])
-    return point, walk_weight_matrix(M, point.t)
+def _point_at(A, alpha: float) -> ParamPoint:
+    M, sd = _spectral(A)
+    return ParamPoint.from_alpha(sd.rho, alpha, M.shape[0])
 
 
 def walk_distance(A, alpha: float = 1.0) -> DistanceMatrix:
@@ -232,13 +263,18 @@ def walk_distance(A, alpha: float = 1.0) -> DistanceMatrix:
     Evaluates R_t at t = 1/(rho + 1/alpha) and scales the log-derived
     distances by theta = walk_scale(alpha, n).
     """
-    point, R = _walk_resolvent(A, alpha)
+    return _walk_distance_at(A, _point_at(A, alpha))
+
+
+def _walk_distance_at(A, point: ParamPoint) -> DistanceMatrix:
+    """walk_distance at exactly point.t, scaled by point.theta."""
+    R = walk_weight_matrix(A, point.t)
     if (R.entries <= 0).any():
         # Weights between vertices d hops apart scale like t^d; at tiny
         # alpha they leave the float64 range and the solve returns zeros
         # or rounding-negative entries. The input is fine, the log is not.
         raise NumericalError(
-            f"walk weights underflowed at alpha={alpha!r} (t={point.t!r}); "
+            f"walk weights underflowed at alpha={point.alpha!r} (t={point.t!r}); "
             "alpha is too small for this graph"
         )
     return proximity_to_distance(
@@ -248,8 +284,12 @@ def walk_distance(A, alpha: float = 1.0) -> DistanceMatrix:
 
 def plain_walk_distance(A, alpha: float = 1.0) -> DistanceMatrix:
     """Distance from R_t without the logarithm (a metric, not geodetic)."""
-    point, R = _walk_resolvent(A, alpha)
-    return gap_distance(R, family="plain-walk", param=point, labels=_labels_of(A))
+    return _plain_walk_distance_at(A, _point_at(A, alpha))
+
+
+def _plain_walk_distance_at(A, point: ParamPoint) -> DistanceMatrix:
+    return gap_distance(walk_weight_matrix(A, point.t), family="plain-walk", param=point,
+                        labels=_labels_of(A))
 
 
 def forest_distance(g, alpha: float = 1.0) -> DistanceMatrix:

@@ -1,13 +1,18 @@
 import json
 import os
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from walkdist import as_adjacency, path_graph, perron, serialize_edge_list, walk_distance
-from walkdist.cli import format_matrix_csv, main, parse_matrix_csv
+from walkdist import (ParamPoint, as_adjacency, ewalk_distance, forest_distance, gap_distance,
+                      log_forest_distance, long_ewalk_distance, long_walk_distance, path_graph,
+                      perron, plain_walk_distance, proximity_to_distance, resistance_distance,
+                      serialize_edge_list, shortest_path_matrix, walk_distance,
+                      walk_weight_matrix, weighted_shortest_path_matrix)
+from walkdist.cli import format_matrix_csv, format_matrix_json, main, parse_matrix_csv
 
 
 @pytest.fixture
@@ -234,3 +239,114 @@ def test_matrix_csv_bytes_match_per_entry_format():
     expect += [lab + "," + ",".join("%.17g" % float(x) for x in M[i])
                for i, lab in enumerate(labels)]
     assert format_matrix_csv(labels, M, meta) == "\n".join(expect) + "\n"
+
+
+def test_matrix_json_bytes_match_per_entry_format():
+    M = np.array([[0.0, 1e-310, -0.0], [1e300, 0.1, 2.5e-8], [-3.0, 7.0, 1.0 / 3.0]])
+    labels = ("a", "b", "c")
+    meta = {"metric": "walk", "n": 3, "rho": 2.5, "alpha": 1.0, "t": None, "theta": None}
+    expect = {"labels": list(labels), "matrix": [[float(x) for x in row] for row in M],
+              "meta": {k: meta[k] for k in ("rho", "alpha", "t", "theta", "metric")}}
+    assert format_matrix_json(labels, M, meta) == json.dumps(expect, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# one prepared graph per command
+
+
+@pytest.fixture(params=["multi5", "p10"])
+def named_graph(request, tmp_path, multi5):
+    g = multi5 if request.param == "multi5" else path_graph(10)
+    path = tmp_path / f"{request.param}.edges"
+    path.write_text(serialize_edge_list(g))
+    return g, str(path)
+
+
+@pytest.fixture
+def perron_calls(monkeypatch):
+    """Count perron calls, wrapped in every walkdist module that imports it."""
+    calls = []
+
+    def counted(A):
+        calls.append(1)
+        return perron(A)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("walkdist") and getattr(module, "perron", None) is perron:
+            monkeypatch.setattr(module, "perron", counted)
+
+    def count(argv):
+        calls.clear()
+        assert main(argv) in (0, 1)
+        return len(calls)
+
+    return count
+
+
+def test_each_command_computes_the_perron_pair_once(named_graph, perron_calls, capsys):
+    _, path = named_graph
+    for metric in ("shortest-path", "weighted-shortest-path", "walk", "plain-walk", "forest",
+                   "log-forest", "e-walk", "long-walk", "long-ewalk", "resistance"):
+        assert perron_calls(["dist", "--metric", metric, "--input", path]) == 1, metric
+    for metric in ("walk", "e-walk"):
+        for direction in ("small-alpha", "large-alpha"):
+            assert perron_calls(["sweep", "--metric", metric, "--direction", direction,
+                                 "--input", path]) == 1, (metric, direction)
+    for suite in ("oracles", "limits", "properties"):
+        assert perron_calls(["verify", "--suite", suite, "--input", path]) == 1, suite
+    # the equivalences suite also prepares its two balance graphs
+    assert perron_calls(["verify", "--suite", "equivalences", "--input", path]) <= 4
+
+
+def _t_off_by_round_trip(g) -> float:
+    """A t in (0, 1/rho) that does not survive t -> alpha -> t bit for bit."""
+    rho = perron(as_adjacency(g)).rho
+    for k in range(1, 1000):
+        t = k / (1000.0 * rho)
+        alpha = ParamPoint.from_t(rho, t, g.n).alpha
+        if ParamPoint.from_alpha(rho, alpha, g.n).t != t:
+            return t
+    raise AssertionError("every t survived the round trip")
+
+
+LIBRARY = {
+    "shortest-path": lambda g, a: shortest_path_matrix(g),
+    "weighted-shortest-path": lambda g, a: weighted_shortest_path_matrix(g),
+    "walk": walk_distance,
+    "plain-walk": plain_walk_distance,
+    "forest": forest_distance,
+    "log-forest": log_forest_distance,
+    "e-walk": ewalk_distance,
+    "long-walk": lambda g, a: long_walk_distance(g),
+    "long-ewalk": lambda g, a: long_ewalk_distance(g),
+    "resistance": lambda g, a: resistance_distance(g),
+}
+PARAMETRIC = ("walk", "plain-walk", "forest", "log-forest", "e-walk")
+
+
+def _dist(tmp_path, path, *args):
+    out = tmp_path / "out.csv"
+    assert main(["dist", *args, "--input", path, "--output", str(out)]) == 0
+    _, M, meta = parse_matrix_csv(out.read_text())
+    return M, meta
+
+
+@pytest.mark.parametrize("metric", sorted(LIBRARY))
+def test_dist_writes_the_library_matrix(metric, named_graph, tmp_path):
+    g, path = named_graph
+    M, _ = _dist(tmp_path, path, "--metric", metric)
+    assert np.array_equal(M, np.asarray(LIBRARY[metric](g, 1.0)))
+    if metric in PARAMETRIC:
+        M, _ = _dist(tmp_path, path, "--metric", metric, "--alpha", "2.5")
+        assert np.array_equal(M, np.asarray(LIBRARY[metric](g, 2.5)))
+    if metric in ("walk", "plain-walk"):
+        # --t evaluates the resolvent at exactly the t it prints, not at
+        # the t' = 1/(rho + 1/alpha) that its alpha maps back to
+        t = _t_off_by_round_trip(g)
+        M, meta = _dist(tmp_path, path, "--metric", metric, "--t", repr(t))
+        assert meta["t"] == t
+        point = ParamPoint.from_t(perron(as_adjacency(g)).rho, t, g.n)
+        R = walk_weight_matrix(as_adjacency(g), t)
+        expected = (proximity_to_distance(R, point.theta) if metric == "walk"
+                    else gap_distance(R, family=metric))
+        assert np.array_equal(M, np.asarray(expected))

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,10 @@ from numpy.testing import assert_allclose
 
 from walkdist import (
     EnumerationBudgetError,
+    GraphInputError,
     as_adjacency,
     check_geodetic,
+    cycle_graph,
     check_metric,
     check_psd_centered,
     check_transition,
@@ -37,6 +40,7 @@ from walkdist import (
     walk_weights_by_powers,
 )
 from walkdist.oracle import (
+    _separation_table,
     _walk_bins,
     commute_cycle_weights_by_length,
     hitting_weights_by_length,
@@ -300,3 +304,27 @@ def test_separates_by_enumeration_agrees(p4, c4, multi5):
                     if i == k:
                         continue
                     assert separates_by_enumeration(g, j, i, k) == separates(g, j, i, k)
+
+
+@pytest.mark.parametrize("name", ["p4", "c6", "multi5", "random10"])
+def test_separation_table_matches_separates(name, p4, multi5):
+    g = {"p4": p4, "c6": cycle_graph(6), "multi5": multi5,
+         "random10": random_multigraph(np.random.default_rng(0), 10, extra_edges=3)}[name]
+    comp = _separation_table(g, g.n)
+    separated = 0
+    for j, i, k in itertools.product(range(g.n), repeat=3):
+        if i == k:
+            continue
+        expected = separates_by_enumeration(g, j, i, k)
+        assert separates(g, j, i, k) == expected, (j, i, k)
+        assert (comp[j][i] != comp[j][k]) == expected, (j, i, k)
+        separated += expected and j not in (i, k)
+    assert separated > 0 or name == "c6"
+
+
+def test_property_checks_reject_a_graph_smaller_than_the_matrix(p4, p5):
+    D = np.asarray(walk_distance(p5))
+    with pytest.raises(GraphInputError):
+        check_geodetic(D, p4)
+    with pytest.raises(GraphInputError):
+        check_transition(np.exp(-D), p4)
